@@ -65,7 +65,7 @@ impl CheckFreqCheckpointer {
         device: Arc<dyn PersistentDevice>,
         checkpoint_size: ByteSize,
     ) -> Result<Self, PccheckError> {
-        let store = CheckpointStore::format(device, checkpoint_size, 2)?;
+        let store = CheckpointStore::format(device, checkpoint_size, 2, 0)?;
         Ok(CheckFreqCheckpointer {
             pipeline: PersistPipeline::new(Arc::new(store)),
             in_flight: Mutex::new(None),
@@ -134,7 +134,7 @@ impl Checkpointer for CheckFreqCheckpointer {
                 CommitOutcome::Committed => {
                     telemetry.committed(span, iteration, total.as_u64());
                     let mut l = last.lock();
-                    if l.map_or(true, |o| o.iteration < iteration) {
+                    if l.is_none_or(|o| o.iteration < iteration) {
                         *l = Some(CheckpointOutcome { iteration, digest });
                     }
                 }

@@ -134,7 +134,7 @@ impl GeminiCheckpointer {
                 Err(e) => return Err(e.into()),
             }
             if let Some(meta) = CheckMeta::decode(&rec) {
-                if meta.slot == slot && best.map_or(true, |b| meta.counter > b.counter) {
+                if meta.slot == slot && best.is_none_or(|b| meta.counter > b.counter) {
                     best = Some(meta);
                 }
             }
@@ -236,7 +236,7 @@ impl Checkpointer for GeminiCheckpointer {
                     committed = true;
                     telemetry.committed(span, iteration, total.as_u64());
                     let mut l = last.lock();
-                    if l.map_or(true, |o| o.iteration < iteration) {
+                    if l.is_none_or(|o| o.iteration < iteration) {
                         *l = Some(CheckpointOutcome { iteration, digest });
                     }
                 }

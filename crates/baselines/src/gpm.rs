@@ -69,7 +69,7 @@ impl GpmCheckpointer {
         device: Arc<dyn PersistentDevice>,
         checkpoint_size: ByteSize,
     ) -> Result<Self, PccheckError> {
-        let store = CheckpointStore::format(device, checkpoint_size, 2)?;
+        let store = CheckpointStore::format(device, checkpoint_size, 2, 0)?;
         Ok(GpmCheckpointer {
             pipeline: PersistPipeline::new(Arc::new(store)),
             last: Mutex::new(None),
@@ -109,7 +109,7 @@ impl Checkpointer for GpmCheckpointer {
         // then kernel write-through: GPU → device directly, no DRAM
         // staging; GPU-copy and persist overlap tile-by-tile, so both
         // phases share the same start timestamp.
-        let lease = self.pipeline.lease(ctx);
+        let lease = self.pipeline.lease_for(ctx, None).expect("owner namespace");
         self.pipeline
             .write_through(ctx, &guard, &lease, iteration, stall_start)
             .expect("kernel write-through on healthy device");

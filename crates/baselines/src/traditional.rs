@@ -61,7 +61,7 @@ impl TraditionalCheckpointer {
         device: Arc<dyn PersistentDevice>,
         checkpoint_size: ByteSize,
     ) -> Result<Self, PccheckError> {
-        let store = CheckpointStore::format(device, checkpoint_size, 2)?;
+        let store = CheckpointStore::format(device, checkpoint_size, 2, 0)?;
         Ok(TraditionalCheckpointer {
             pipeline: PersistPipeline::new(Arc::new(store)),
             last: Mutex::new(None),

@@ -35,8 +35,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pccheck::{
-    recover, recovery, CheckpointStore, DeltaPolicy, JobId, PcCheckConfig, PcCheckEngine,
-    PccheckError, PersistPipeline, PipelineCtx,
+    recover, recover_instrumented_with, CheckpointStore, DeltaPolicy, JobId, PcCheckConfig,
+    PcCheckEngine, PccheckError, PersistPipeline, PipelineCtx, RestoreOptions, OWNER_JOB,
 };
 use pccheck_bench::stats::{bench_json_path, effective_ceiling, host_cores, median};
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice};
@@ -46,7 +46,7 @@ use pccheck_gpu::{
 use pccheck_harness::ext_compress;
 use pccheck_harness::forensics_run::{
     commit_delta_checkpoint_scoped, drive_to_crash_point_scoped, sparse_payload, synthetic_payload,
-    CrashPoint, Scope,
+    CrashPoint, FusedDevice,
 };
 use pccheck_telemetry::{SpanId, Telemetry};
 use pccheck_util::{Bandwidth, ByteSize};
@@ -287,9 +287,9 @@ fn framed_pipeline(store: Arc<CheckpointStore>) -> PersistPipeline {
 /// recovered payload is bit-identical to the logical state.
 fn framed_crash_case(point: CrashPoint, striped: bool) -> Result<bool, PccheckError> {
     let state = ByteSize::from_bytes(CRASH_STATE);
-    let cap = CheckpointStore::required_capacity_with_flight(state, CRASH_SLOTS, CRASH_FLIGHT)
+    let cap = CheckpointStore::required_capacity_service(state, CRASH_SLOTS, CRASH_FLIGHT, 1)
         + ByteSize::from_kb(4);
-    let (device, arm_fuse): (Arc<dyn PersistentDevice>, Box<dyn Fn(u64)>) = if striped {
+    let (device, arm_fuse): FusedDevice = if striped {
         let members: Vec<Arc<dyn PersistentDevice>> = (0..2)
             .map(|_| {
                 Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)))
@@ -304,7 +304,7 @@ fn framed_crash_case(point: CrashPoint, striped: bool) -> Result<bool, PccheckEr
         let fuse = Arc::clone(&ssd);
         (ssd, Box::new(move |n| fuse.arm_crash_after_persists(n)))
     };
-    let store = Arc::new(CheckpointStore::format_with_flight(
+    let store = Arc::new(CheckpointStore::format(
         Arc::clone(&device),
         state,
         CRASH_SLOTS,
@@ -330,13 +330,13 @@ fn framed_crash_case(point: CrashPoint, striped: bool) -> Result<bool, PccheckEr
             let ranges = [(0u64, CRASH_STATE / 8), (CRASH_STATE / 2, CRASH_STATE / 8)];
             let full_mid = sparse_payload(&baseline_payload, 150, &ranges);
             let mid_counter =
-                commit_delta_checkpoint_scoped(&store, Scope::Global, 150, &full_mid, &ranges)?;
+                commit_delta_checkpoint_scoped(&store, OWNER_JOB, 150, &full_mid, &ranges)?;
             // Strand a second in-flight checkpoint (payload durable, no
             // meta) exactly like the canonical delta-chain scenario.
             let stranded = synthetic_payload(200, CRASH_STATE);
             drive_to_crash_point_scoped(
                 &store,
-                Scope::Global,
+                OWNER_JOB,
                 CrashPoint::BetweenPersistAndCommit,
                 200,
                 &stranded,
@@ -348,7 +348,7 @@ fn framed_crash_case(point: CrashPoint, striped: bool) -> Result<bool, PccheckEr
         }
         _ => {
             let raw = synthetic_payload(200, CRASH_STATE);
-            let (_, slot) = drive_to_crash_point_scoped(&store, Scope::Global, point, 200, &raw)?;
+            let (_, slot) = drive_to_crash_point_scoped(&store, OWNER_JOB, point, 200, &raw)?;
             expected_counter = baseline_counter;
             expected_payload = baseline_payload.clone();
             crash_slot = Some(slot);
@@ -379,7 +379,8 @@ fn framed_crash_case(point: CrashPoint, striped: bool) -> Result<bool, PccheckEr
 /// One two-tenant namespace crash case: both tenants hold chunk-framed
 /// baselines, tenant 2 is driven into `point`, the power fails, and the
 /// global audit plus each namespace's prediction must match what
-/// `recover_job` restores — with tenant 1's framed state bit-identical.
+/// job-scoped recovery restores — with tenant 1's framed state
+/// bit-identical.
 fn namespace_framed_crash_case(point: CrashPoint) -> Result<bool, PccheckError> {
     const SLOTS: u32 = 8;
     const MAX_NS: u32 = 4;
@@ -418,12 +419,11 @@ fn namespace_framed_crash_case(point: CrashPoint) -> Result<bool, PccheckError> 
         CrashPoint::DeltaChain => {
             let ranges = [(0u64, CRASH_STATE / 8)];
             let full_mid = sparse_payload(&baseline2, 150, &ranges);
-            let mid =
-                commit_delta_checkpoint_scoped(&store, Scope::Job(2), 150, &full_mid, &ranges)?;
+            let mid = commit_delta_checkpoint_scoped(&store, 2, 150, &full_mid, &ranges)?;
             let stranded = synthetic_payload(200, CRASH_STATE);
             drive_to_crash_point_scoped(
                 &store,
-                Scope::Job(2),
+                2,
                 CrashPoint::BetweenPersistAndCommit,
                 200,
                 &stranded,
@@ -435,7 +435,7 @@ fn namespace_framed_crash_case(point: CrashPoint) -> Result<bool, PccheckError> 
         }
         _ => {
             let raw = synthetic_payload(200, CRASH_STATE);
-            let (_, slot) = drive_to_crash_point_scoped(&store, Scope::Job(2), point, 200, &raw)?;
+            let (_, slot) = drive_to_crash_point_scoped(&store, 2, point, 200, &raw)?;
             expected2_counter = counter2;
             expected2_payload = baseline2.clone();
             crash_slot = Some(slot);
@@ -459,8 +459,12 @@ fn namespace_framed_crash_case(point: CrashPoint) -> Result<bool, PccheckError> 
 
     let mut ok = report.is_clean();
     for &(job, ref head) in &report.namespace_recovery {
-        match recovery::recover_job(Arc::clone(&device), job) {
-            Ok(r) => {
+        let options = RestoreOptions {
+            job: Some(job),
+            ..RestoreOptions::default()
+        };
+        match recover_instrumented_with(Arc::clone(&device), &Telemetry::disabled(), options) {
+            Ok((r, _)) => {
                 ok &= head.as_ref().map(|m| m.counter) == Some(r.counter);
                 if job == 1 {
                     // Tenant isolation: tenant 2's crash never moves

@@ -68,7 +68,7 @@ fn measure(ways: u32) -> WaysResult {
     };
 
     let store = Arc::new(
-        CheckpointStore::format(Arc::clone(&device), state, 2).expect("device fits two slots"),
+        CheckpointStore::format(Arc::clone(&device), state, 2, 0).expect("device fits two slots"),
     );
     let chunks = (STATE_BYTES / CHUNK_BYTES) as usize;
     let pipeline = PersistPipeline::new(Arc::clone(&store))
@@ -93,7 +93,7 @@ fn measure(ways: u32) -> WaysResult {
         };
         let total = src.size();
         let digest = src.digest();
-        let lease = pipeline.lease(ctx);
+        let lease = pipeline.lease_for(ctx, None).expect("owner namespace");
         let persist_start = pipeline
             .copy_staged(ctx, &src, &lease, total)
             .expect("staged copy on healthy device");

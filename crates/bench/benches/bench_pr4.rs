@@ -62,7 +62,8 @@ fn pipeline_on(slots: u32) -> (PersistPipeline, Arc<CheckpointStore>) {
     let state = ByteSize::from_bytes(STATE_BYTES);
     let cap = CheckpointStore::required_capacity(state, slots) + ByteSize::from_kb(4);
     let store = Arc::new(
-        CheckpointStore::format(throttled_ssd(cap), state, slots).expect("device fits the slots"),
+        CheckpointStore::format(throttled_ssd(cap), state, slots, 0)
+            .expect("device fits the slots"),
     );
     let chunks = (STATE_BYTES / CHUNK_BYTES) as usize;
     let pipeline = PersistPipeline::new(Arc::clone(&store))
@@ -96,7 +97,7 @@ fn run_full(sparsity: f64) -> PathResult {
         let guard = gpu.lock_weights_shared();
         let digest = guard.digest();
         let total = guard.size();
-        let lease = pipeline.lease(ctx);
+        let lease = pipeline.lease_for(ctx, None).expect("owner namespace");
         let persist_start = pipeline
             .copy_streamed(ctx, &guard, &lease, total)
             .expect("streamed copy on healthy device");

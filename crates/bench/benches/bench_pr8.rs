@@ -29,15 +29,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pccheck::{
-    recovery, CheckpointStore, PcCheckConfig, PcCheckEngine, PccheckError, PersistPipeline,
-    QosArbiter, QosConfig,
+    recover_instrumented_with, CheckpointStore, PcCheckConfig, PcCheckEngine, PccheckError,
+    PersistPipeline, QosArbiter, QosConfig, RestoreOptions,
 };
 use pccheck_bench::stats::{bench_json_path, host_cores, median, rel_iqr};
 use pccheck_daemon::{Daemon, DaemonConfig, JobSpec};
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
 use pccheck_sim::FluidResource;
-use pccheck_telemetry::Phase;
+use pccheck_telemetry::{Phase, Telemetry};
 use pccheck_util::{Bandwidth, ByteSize, SimDuration, SimTime};
 
 /// Repetitions per scaling arm.
@@ -292,8 +292,16 @@ fn audited_clean(t: &Tenants, issued: [u64; 2]) -> bool {
             .iter()
             .find(|(j, _)| *j == job)
             .and_then(|(_, m)| *m);
-        match recovery::recover_job(t.ssd.clone() as Arc<dyn PersistentDevice>, job) {
-            Ok(rec) => {
+        let options = RestoreOptions {
+            job: Some(job),
+            ..RestoreOptions::default()
+        };
+        match recover_instrumented_with(
+            t.ssd.clone() as Arc<dyn PersistentDevice>,
+            &Telemetry::disabled(),
+            options,
+        ) {
+            Ok((rec, _)) => {
                 if rec.iteration > issued[(job - 1) as usize]
                     || predicted.map(|m| m.counter) != Some(rec.counter)
                 {

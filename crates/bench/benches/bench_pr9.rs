@@ -36,14 +36,17 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use pccheck::{recovery, CheckpointStore, PccheckError, SlotOutcome};
+use pccheck::{
+    recover_instrumented_with, CheckpointStore, PccheckError, RestoreOptions, SlotOutcome,
+};
 use pccheck_bench::stats::{bench_json_path, host_cores, median};
 use pccheck_device::{DeviceConfig, PersistentDevice, SsdDevice};
 use pccheck_gpu::StateDigest;
 use pccheck_harness::forensics_run::{
     commit_checkpoint_scoped, drive_to_crash_point_scoped, run_crash_scenario, synthetic_payload,
-    CrashPoint, ForensicsRunConfig, Scope,
+    CrashPoint, ForensicsRunConfig,
 };
+use pccheck_telemetry::Telemetry;
 use pccheck_util::sync::Mutex;
 use pccheck_util::ByteSize;
 
@@ -83,7 +86,7 @@ fn throughput_rep(n: usize, locked: bool) -> f64 {
     let cap = CheckpointStore::required_capacity(state, slots) + ByteSize::from_kb(4);
     let device: Arc<dyn PersistentDevice> =
         Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-    let store = Arc::new(CheckpointStore::format(device, state, slots).expect("format"));
+    let store = Arc::new(CheckpointStore::format(device, state, slots, 0).expect("format"));
     let lock = Arc::new(Mutex::new(()));
     let barrier = Arc::new(Barrier::new(n + 1));
 
@@ -99,9 +102,9 @@ fn throughput_rep(n: usize, locked: bool) -> f64 {
                     let iteration = t as u64 * OPS + op;
                     let lease = if locked {
                         let _g = lock.lock();
-                        store.begin_checkpoint()
+                        store.begin_checkpoint(None).expect("owner namespace")
                     } else {
-                        store.begin_checkpoint()
+                        store.begin_checkpoint(None).expect("owner namespace")
                     };
                     store.write_payload(&lease, 0, &payload).expect("write");
                     store.persist_payload(&lease, 0, PAYLOAD).expect("persist");
@@ -175,7 +178,7 @@ fn crash_case(point: CrashPoint, cfg: &ForensicsRunConfig) -> Result<bool, Pcche
 
 /// One two-tenant crash scenario: tenant 1 commits a baseline, tenant 2
 /// is driven into `point`, the power fails, and both the global audit
-/// and each namespace's prediction must match what `recover_job`
+/// and each namespace's prediction must match what job-scoped recovery
 /// restores — with tenant 1's state intact.
 fn namespace_crash_case(point: CrashPoint) -> Result<bool, PccheckError> {
     const STATE: u64 = 4096;
@@ -191,13 +194,11 @@ fn namespace_crash_case(point: CrashPoint) -> Result<bool, PccheckError> {
     store.allocate_namespace(1, 4)?;
     store.allocate_namespace(2, 4)?;
 
-    let baseline1 =
-        commit_checkpoint_scoped(&store, Scope::Job(1), 100, &synthetic_payload(100, STATE))?;
-    commit_checkpoint_scoped(&store, Scope::Job(2), 100, &synthetic_payload(100, STATE))?;
+    let baseline1 = commit_checkpoint_scoped(&store, 1, 100, &synthetic_payload(100, STATE))?;
+    commit_checkpoint_scoped(&store, 2, 100, &synthetic_payload(100, STATE))?;
 
     let payload = synthetic_payload(200, STATE);
-    let (crashed_counter, slot) =
-        drive_to_crash_point_scoped(&store, Scope::Job(2), point, 200, &payload)?;
+    let (crashed_counter, slot) = drive_to_crash_point_scoped(&store, 2, point, 200, &payload)?;
     match point {
         CrashPoint::DuringPersist => {
             ssd.arm_crash_after_persists(0);
@@ -214,8 +215,12 @@ fn namespace_crash_case(point: CrashPoint) -> Result<bool, PccheckError> {
     let mut recovered = Vec::new();
     let mut predictions_hold = true;
     for &(job, ref head) in &report.namespace_recovery {
-        match recovery::recover_job(Arc::clone(&device), job) {
-            Ok(r) => {
+        let options = RestoreOptions {
+            job: Some(job),
+            ..RestoreOptions::default()
+        };
+        match recover_instrumented_with(Arc::clone(&device), &Telemetry::disabled(), options) {
+            Ok((r, _)) => {
                 recovered.push(r.counter);
                 predictions_hold &= head.as_ref().map(|m| m.counter) == Some(r.counter);
                 if job == 1 {

@@ -33,7 +33,7 @@ fn commit_protocol() {
     let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3);
     let dev: Arc<dyn PersistentDevice> =
         Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-    let store = CheckpointStore::format(dev, ByteSize::from_bytes(64), 3).expect("format");
+    let store = CheckpointStore::format(dev, ByteSize::from_bytes(64), 3, 0).expect("format");
     let mut iter = 0u64;
     let secs = time_runs(
         RUNS,
@@ -41,7 +41,7 @@ fn commit_protocol() {
         |()| {
             for _ in 0..COMMITS_PER_RUN {
                 iter += 1;
-                let lease = store.begin_checkpoint();
+                let lease = store.begin_checkpoint(None).unwrap();
                 store.write_payload(&lease, 0, &[1u8; 64]).expect("write");
                 store.persist_payload(&lease, 0, 64).expect("persist");
                 store.commit(lease, iter, 64, 0).expect("commit");

@@ -22,7 +22,7 @@
 //! - [`ChunkEncoding::DedupSelf`] — byte-identical to an *earlier*
 //!   materialized chunk of this same frame; stores only its index.
 //! - [`ChunkEncoding::DedupBase`] — byte-identical to a materialized chunk
-//!   of the base checkpoint named by the commit's [`DeltaLink`]; the link
+//!   of the base checkpoint named by the commit's [`DeltaLink`](crate::DeltaLink); the link
 //!   pins the base exactly like a delta chain does, so the referenced
 //!   bytes cannot be recycled while this checkpoint is live.
 //!
@@ -520,9 +520,8 @@ struct Generation {
 /// One generation per job: installing a new commit's chunks evicts the
 /// prior generation wholesale, which is exactly the lifetime the depth-≤1
 /// reference rule needs — a lookup can only ever name bytes physically
-/// present in the current base checkpoint. Jobs are keyed by their id
-/// (`u64::MAX` stands for the single-tenant "no job" namespace) so
-/// multi-tenant stores never dedup across namespaces.
+/// present in the current base checkpoint. Generations are keyed by the
+/// namespace's job id, so a store never dedups across namespaces.
 #[derive(Debug, Default)]
 pub struct DedupIndex {
     generations: HashMap<u64, Generation>,
@@ -542,16 +541,12 @@ impl DedupIndex {
         }
     }
 
-    fn job_key(job: Option<u64>) -> u64 {
-        job.unwrap_or(u64::MAX)
-    }
-
     /// Replaces `job`'s generation with the materialized chunks of the
     /// just-committed checkpoint `counter` in `slot`. `chunks` yields
     /// `(digest, logical_off, len)` per materialized chunk.
     pub fn install(
         &mut self,
-        job: Option<u64>,
+        job: u64,
         counter: u64,
         slot: u32,
         chunks: impl IntoIterator<Item = (u64, u64, u64)>,
@@ -569,7 +564,7 @@ impl DedupIndex {
             by_digest.entry(digest).or_insert((off, len));
         }
         self.generations.insert(
-            Self::job_key(job),
+            job,
             Generation {
                 counter,
                 slot,
@@ -582,14 +577,8 @@ impl DedupIndex {
     /// generation when it is exactly checkpoint `base_counter` — a lookup
     /// against any other generation would reference bytes the commit's
     /// `DeltaLink` does not pin.
-    pub fn lookup(
-        &self,
-        job: Option<u64>,
-        base_counter: u64,
-        digest: u64,
-        len: u64,
-    ) -> Option<DedupHit> {
-        let g = self.generations.get(&Self::job_key(job))?;
+    pub fn lookup(&self, job: u64, base_counter: u64, digest: u64, len: u64) -> Option<DedupHit> {
+        let g = self.generations.get(&job)?;
         if g.counter != base_counter {
             return None;
         }
@@ -603,13 +592,13 @@ impl DedupIndex {
     }
 
     /// The checkpoint counter of `job`'s current generation, if any.
-    pub fn generation_counter(&self, job: Option<u64>) -> Option<u64> {
-        self.generations.get(&Self::job_key(job)).map(|g| g.counter)
+    pub fn generation_counter(&self, job: u64) -> Option<u64> {
+        self.generations.get(&job).map(|g| g.counter)
     }
 
     /// Drops `job`'s generation (e.g., its namespace was released).
-    pub fn evict_job(&mut self, job: Option<u64>) {
-        self.generations.remove(&Self::job_key(job));
+    pub fn evict_job(&mut self, job: u64) {
+        self.generations.remove(&job);
     }
 
     /// Drops every generation.
@@ -771,9 +760,9 @@ mod tests {
     #[test]
     fn dedup_index_answers_only_current_generation() {
         let mut idx = DedupIndex::default();
-        idx.install(None, 7, 2, vec![(111, 0, 64), (222, 64, 64)]);
+        idx.install(0, 7, 2, vec![(111, 0, 64), (222, 64, 64)]);
         assert_eq!(
-            idx.lookup(None, 7, 111, 64),
+            idx.lookup(0, 7, 111, 64),
             Some(DedupHit {
                 counter: 7,
                 slot: 2,
@@ -782,36 +771,36 @@ mod tests {
             })
         );
         // Wrong base counter: the caller's link would not pin gen 7.
-        assert!(idx.lookup(None, 6, 111, 64).is_none());
+        assert!(idx.lookup(0, 6, 111, 64).is_none());
         // Length mismatch is a digest collision, not a hit.
-        assert!(idx.lookup(None, 7, 111, 32).is_none());
+        assert!(idx.lookup(0, 7, 111, 32).is_none());
         // Installing the next generation evicts the old one.
-        idx.install(None, 8, 0, vec![(333, 0, 64)]);
-        assert!(idx.lookup(None, 8, 111, 64).is_none());
-        assert_eq!(idx.lookup(None, 8, 333, 64).unwrap().slot, 0);
-        assert_eq!(idx.generation_counter(None), Some(8));
+        idx.install(0, 8, 0, vec![(333, 0, 64)]);
+        assert!(idx.lookup(0, 8, 111, 64).is_none());
+        assert_eq!(idx.lookup(0, 8, 333, 64).unwrap().slot, 0);
+        assert_eq!(idx.generation_counter(0), Some(8));
     }
 
     #[test]
     fn dedup_index_is_per_job() {
         let mut idx = DedupIndex::default();
-        idx.install(Some(1), 5, 0, vec![(42, 0, 128)]);
-        idx.install(Some(2), 9, 1, vec![(42, 0, 128)]);
-        assert_eq!(idx.lookup(Some(1), 5, 42, 128).unwrap().counter, 5);
-        assert_eq!(idx.lookup(Some(2), 9, 42, 128).unwrap().counter, 9);
-        assert!(idx.lookup(Some(3), 5, 42, 128).is_none());
-        idx.evict_job(Some(1));
-        assert!(idx.lookup(Some(1), 5, 42, 128).is_none());
-        assert!(idx.lookup(Some(2), 9, 42, 128).is_some());
+        idx.install(1, 5, 0, vec![(42, 0, 128)]);
+        idx.install(2, 9, 1, vec![(42, 0, 128)]);
+        assert_eq!(idx.lookup(1, 5, 42, 128).unwrap().counter, 5);
+        assert_eq!(idx.lookup(2, 9, 42, 128).unwrap().counter, 9);
+        assert!(idx.lookup(3, 5, 42, 128).is_none());
+        idx.evict_job(1);
+        assert!(idx.lookup(1, 5, 42, 128).is_none());
+        assert!(idx.lookup(2, 9, 42, 128).is_some());
     }
 
     #[test]
     fn dedup_index_caps_generation_size() {
         let mut idx = DedupIndex::with_capacity(2);
-        idx.install(None, 1, 0, vec![(1, 0, 8), (2, 8, 8), (3, 16, 8)]);
-        assert!(idx.lookup(None, 1, 1, 8).is_some());
-        assert!(idx.lookup(None, 1, 2, 8).is_some());
-        assert!(idx.lookup(None, 1, 3, 8).is_none());
+        idx.install(0, 1, 0, vec![(1, 0, 8), (2, 8, 8), (3, 16, 8)]);
+        assert!(idx.lookup(0, 1, 1, 8).is_some());
+        assert!(idx.lookup(0, 1, 2, 8).is_some());
+        assert!(idx.lookup(0, 1, 3, 8).is_none());
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub struct PcCheckEngine {
     pool: HostBufferPool,
     /// In service mode, the tenant this facade checkpoints for: leases
     /// come from this job's namespace and commits move its commit
-    /// pointer. `None` = classic single-tenant engine.
+    /// pointer. `None` = the store's owner namespace.
     job: Option<JobId>,
     in_flight: Arc<Gate>,
     stats: Arc<EngineStats>,
@@ -135,12 +135,7 @@ impl PcCheckEngine {
     ) -> Result<Self, PccheckError> {
         config.validate()?;
         let slots = (config.max_concurrent + 1) as u32;
-        let store = CheckpointStore::format_with_flight(
-            device,
-            checkpoint_size,
-            slots,
-            config.flight_records,
-        )?;
+        let store = CheckpointStore::format(device, checkpoint_size, slots, config.flight_records)?;
         Self::with_store(config, Arc::new(store))
     }
 
@@ -234,9 +229,8 @@ impl PcCheckEngine {
     /// # Errors
     ///
     /// Returns [`PccheckError::InvalidConfig`] if the configuration is
-    /// invalid, the pipeline has no staging pool, the store is not
-    /// multi-tenant, `job` has no namespace, or the namespace has fewer
-    /// than `N+1` slots.
+    /// invalid, the pipeline has no staging pool, `job` has no namespace,
+    /// or the namespace has fewer than `N+1` slots.
     pub fn with_shared(
         config: PcCheckConfig,
         pipeline: Arc<PersistPipeline>,
@@ -244,11 +238,6 @@ impl PcCheckEngine {
     ) -> Result<Self, PccheckError> {
         config.validate()?;
         let store = Arc::clone(pipeline.store());
-        if !store.is_multi_tenant() {
-            return Err(PccheckError::InvalidConfig(
-                "with_shared needs a service-mode (multi-tenant) store".into(),
-            ));
-        }
         let Some(pool) = pipeline.staging_pool().cloned() else {
             return Err(PccheckError::InvalidConfig(
                 "with_shared needs a pipeline with a staging pool attached".into(),
@@ -408,7 +397,7 @@ impl PcCheckEngine {
             return;
         }
         let requested = self.stats.counters.requested();
-        if requested == 0 || requested % self.config.adaptive_interval != 0 {
+        if requested == 0 || !requested.is_multiple_of(self.config.adaptive_interval) {
             return;
         }
         let Some(snapshot) = self.telemetry.snapshot() else {
@@ -588,7 +577,7 @@ impl Checkpointer for PcCheckEngine {
                     stats.counters.incr_committed(total_bytes);
                     telemetry.committed(span, iteration, total_bytes);
                     let mut l = last.lock();
-                    if l.map_or(true, |o| o.iteration < iteration) {
+                    if l.is_none_or(|o| o.iteration < iteration) {
                         *l = Some(CheckpointOutcome { iteration, digest });
                     }
                 }
@@ -1243,7 +1232,7 @@ mod tests {
         let cap = CheckpointStore::required_capacity(gpu.state_size(), 2) + ByteSize::from_kb(1);
         let device: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let store = Arc::new(CheckpointStore::format(device, gpu.state_size(), 2).unwrap());
+        let store = Arc::new(CheckpointStore::format(device, gpu.state_size(), 2, 0).unwrap());
         let config = PcCheckConfig::builder().max_concurrent(3).build().unwrap();
         assert!(matches!(
             PcCheckEngine::with_store(config, store),

@@ -93,14 +93,13 @@ pub use pipeline::{
 };
 pub use qos::{QosArbiter, QosConfig, QosGrant};
 pub use recovery::{
-    recover, recover_instrumented, recover_job, RecoveredCheckpoint, RecoveryModel, RecoveryTrace,
-    Strategy,
+    recover, recover_instrumented, RecoveredCheckpoint, RecoveryModel, RecoveryTrace, Strategy,
 };
 pub use restore::{
     recover_instrumented_with, recover_into_gpu, LayerCache, RestoreOptions, RestorePipeline,
     RestoreSink,
 };
-pub use store::{CheckpointStore, CommitOutcome, JobId, RawStoreView, SlotOutcome};
+pub use store::{CheckpointStore, CommitOutcome, JobId, RawStoreView, SlotOutcome, OWNER_JOB};
 pub use tuner::{
     AdaptiveTuner, ControllerAction, ControllerConfig, ControllerDecision, ControllerSignals,
     PersistController, TierHint, Tuner, TunerInputs, TunerRecommendation,

@@ -116,11 +116,12 @@ pub const NS_DESC_SIZE: u64 = 64;
 
 const NS_MAGIC: u32 = 0x5043_4E53; // "PCNS"
 
-/// Descriptor of one per-job slot namespace in a multi-tenant store.
+/// Descriptor of one per-job slot namespace.
 ///
-/// A service-mode store carves its slot array into contiguous per-job
-/// ranges; each range is described by one of these 64-byte records in the
-/// namespace directory at the tail of the device. Like [`CheckMeta`], the
+/// Every store carves its slot array into contiguous per-job ranges (a
+/// `format`ted store has exactly one, the owner's); each range is
+/// described by one of these 64-byte records in the namespace directory
+/// near the tail of the device. Like [`CheckMeta`], the
 /// record carries a checksum so a torn directory write is detected and the
 /// entry treated as unallocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -269,7 +270,7 @@ impl SlotState {
     }
 
     /// Decodes a record, returning `None` if the magic, tag, or checksum
-    /// is wrong (torn write, pre-lattice store, or corruption). A torn
+    /// is wrong (torn write, zeroed cell, or corruption). A torn
     /// state word therefore degrades to "no word", and the decision
     /// procedure falls back to classifying the slot from its meta CRC —
     /// the outcome stays decidable.
@@ -490,7 +491,7 @@ mod tests {
 
     #[test]
     fn slot_state_decode_rejects_garbage() {
-        assert_eq!(SlotState::decode(&[0u8; 64]), None, "pre-lattice cell");
+        assert_eq!(SlotState::decode(&[0u8; 64]), None, "zeroed cell");
         assert_eq!(SlotState::decode(&[0u8; 8]), None, "short buffer");
         let mut torn = SlotState::Claimed { counter: 9 }.encode();
         torn[9] ^= 1;

@@ -387,21 +387,9 @@ impl PersistPipeline {
             .expect("chunk-scheduled copy paths need a staging pool")
     }
 
-    /// Leases a free slot and refreshes the queue-depth gauges.
-    ///
-    /// Single-tenant stores only; on a multi-tenant (service-mode) store
-    /// use [`lease_for`](Self::lease_for) with the job id.
-    pub fn lease(&self, ctx: PipelineCtx<'_>) -> SlotLease {
-        let lease = self.store.begin_checkpoint();
-        ctx.telemetry
-            .gauge_queue_depth(self.store.free_slot_count() as u64);
-        self.sample_device_queues(ctx);
-        lease
-    }
-
-    /// Leases a free slot from `job`'s namespace (or the global pool when
-    /// `job` is `None`) and refreshes the queue-depth gauges with that
-    /// job's free-slot count.
+    /// Leases a free slot from `job`'s namespace (`None` = the store's
+    /// owner namespace) and refreshes the queue-depth gauges with that
+    /// namespace's free-slot count.
     ///
     /// # Errors
     ///
@@ -411,14 +399,8 @@ impl PersistPipeline {
         ctx: PipelineCtx<'_>,
         job: Option<JobId>,
     ) -> Result<SlotLease, PccheckError> {
-        let lease = match job {
-            Some(j) => self.store.begin_checkpoint_job(j)?,
-            None => self.store.begin_checkpoint(),
-        };
-        let free = match job {
-            Some(j) => self.store.free_slot_count_job(j)?,
-            None => self.store.free_slot_count(),
-        };
+        let lease = self.store.begin_checkpoint(job)?;
+        let free = self.store.free_slot_count_job(lease.job())?;
         ctx.telemetry.gauge_queue_depth(free as u64);
         self.sample_device_queues(ctx);
         Ok(lease)
@@ -495,12 +477,11 @@ impl PersistPipeline {
         data: &[u8],
     ) -> Result<u64, PccheckError> {
         // Held across write + fence: the grant is the writer-pool lease
-        // the WDRR arbiter schedules. Legacy (non-namespaced) leases in a
-        // QoS pipeline charge job 0.
+        // the WDRR arbiter schedules.
         let _grant = self
             .qos
             .as_ref()
-            .map(|q| q.acquire(lease.job().unwrap_or(0), data.len() as u64));
+            .map(|q| q.acquire(lease.job(), data.len() as u64));
         let mut media = self.write_chunk(ctx, lease, offset, data)?;
         if self.fence == FenceMode::PerWriter {
             media += self.persist_chunk(ctx, lease, offset, data.len() as u64)?;
@@ -781,7 +762,7 @@ impl PersistPipeline {
                 let table_len = ExtentTable::encoded_len_for(dirty.len());
                 let fits = table_len + dirty_bytes < total.as_u64()
                     && table_len + dirty_bytes <= self.store.slot_size().as_u64();
-                (base_depth + 1 <= policy.max_chain
+                (base_depth < policy.max_chain
                     && ratio <= policy.max_dirty_ratio
                     && base_full_len == total.as_u64()
                     && fits)
@@ -921,7 +902,7 @@ impl PersistPipeline {
         policy: DeltaPolicy,
     ) -> Result<(CommitOutcome, DeltaOutcome), PccheckError> {
         let total = src.size();
-        let lease = self.lease(ctx);
+        let lease = self.lease_for(ctx, None)?;
         match self.copy_delta(ctx, src, &lease, total, full_digest, policy)? {
             DeltaPlan::Full { persist_start } => {
                 self.seal(ctx, &lease, iteration, total, persist_start)?;
@@ -1027,7 +1008,7 @@ impl PersistPipeline {
         let base = self.store.latest_committed_for(lease);
         let cross = base.as_ref().and_then(|b| {
             let base_depth = b.delta.map_or(0, |l| l.chain_depth);
-            (base_depth + 1 <= policy.max_chain).then_some((b.counter, b.slot, base_depth))
+            (base_depth < policy.max_chain).then_some((b.counter, b.slot, base_depth))
         });
 
         let persist_start = ctx.telemetry.now_nanos();
@@ -1283,7 +1264,7 @@ impl PersistPipeline {
         policy: DeltaPolicy,
     ) -> Result<(CommitOutcome, FramedOutcome), PccheckError> {
         let total = src.size();
-        let lease = self.lease(ctx);
+        let lease = self.lease_for(ctx, None)?;
         match self.copy_framed(ctx, src, &lease, total, full_digest, policy)? {
             None => {
                 let persist_start = self.copy_streamed(ctx, src, &lease, total)?;
@@ -1346,7 +1327,7 @@ impl PersistPipeline {
     ) -> Result<SlotLease, PccheckError> {
         let total = payload.len() as u64;
         let persist_start = ctx.telemetry.now_nanos();
-        let lease = self.lease(ctx);
+        let lease = self.lease_for(ctx, None)?;
         self.write_chunk(ctx, &lease, 0, payload)?;
         self.persist_chunk(ctx, &lease, 0, total)?;
         ctx.telemetry.chunk(ctx.span, Phase::Persist, 0, total);
@@ -1503,7 +1484,7 @@ mod tests {
         let cap = CheckpointStore::required_capacity(state, slots) + ByteSize::from_kb(1);
         let device: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        Arc::new(CheckpointStore::format(device, state, slots).unwrap())
+        Arc::new(CheckpointStore::format(device, state, slots, 0).unwrap())
     }
 
     #[test]
@@ -1555,7 +1536,7 @@ mod tests {
             let guard = g.lock_weights_shared();
             let digest = guard.digest();
             let total = guard.size();
-            let lease = pipeline.lease(ctx);
+            let lease = pipeline.lease_for(ctx, None).unwrap();
             let persist_start = if streamed {
                 pipeline.copy_streamed(ctx, &guard, &lease, total).unwrap()
             } else {
@@ -1593,7 +1574,7 @@ mod tests {
             };
             let guard = g.lock_weights_shared();
             let total = guard.size();
-            let lease = pipeline.lease(ctx);
+            let lease = pipeline.lease_for(ctx, None).unwrap();
             let persist_start = if streamed {
                 pipeline.copy_streamed(ctx, &guard, &lease, total).unwrap()
             } else {
@@ -1649,7 +1630,7 @@ mod tests {
         let guard = g.lock_weights_shared();
         let digest = guard.digest();
         let total = guard.size();
-        let lease = pipeline.lease(ctx);
+        let lease = pipeline.lease_for(ctx, None).unwrap();
         let start = pipeline.copy_staged(ctx, &guard, &lease, total).unwrap();
         drop(guard);
         pipeline.seal(ctx, &lease, 1, total, start).unwrap();
@@ -1675,7 +1656,7 @@ mod tests {
             .collect();
         let striped: Arc<dyn PersistentDevice> =
             Arc::new(StripedDevice::new(members, ByteSize::from_bytes(256)));
-        let store = Arc::new(CheckpointStore::format(striped, g.state_size(), 2).unwrap());
+        let store = Arc::new(CheckpointStore::format(striped, g.state_size(), 2, 0).unwrap());
         let pipeline = PersistPipeline::new(store);
         let telemetry = Telemetry::enabled();
         let span = telemetry.span_requested("test", 1, 600);
@@ -1705,7 +1686,7 @@ mod tests {
         let cap = CheckpointStore::required_capacity(state, 2) + ByteSize::from_kb(1);
         let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let store = Arc::new(
-            CheckpointStore::format(Arc::clone(&ssd) as Arc<dyn PersistentDevice>, state, 2)
+            CheckpointStore::format(Arc::clone(&ssd) as Arc<dyn PersistentDevice>, state, 2, 0)
                 .unwrap(),
         );
         let pool = HostBufferPool::new(ByteSize::from_bytes(128), 2);
@@ -1719,7 +1700,7 @@ mod tests {
             span,
         };
         let guard = g.lock_weights_shared();
-        let lease = pipeline.lease(ctx);
+        let lease = pipeline.lease_for(ctx, None).unwrap();
         // The very next persist crashes the device: every later write (and
         // the per-writer fence) fails.
         ssd.arm_crash_after_persists(0);
@@ -1854,7 +1835,7 @@ mod tests {
         let guard = g.lock_weights_shared();
         let digest = guard.digest();
         let total = guard.size();
-        let lease = pipeline.lease(ctx);
+        let lease = pipeline.lease_for(ctx, None).unwrap();
         let slot = lease.slot;
         let start = pipeline.copy_streamed(ctx, &guard, &lease, total).unwrap();
         drop(guard);
@@ -1896,7 +1877,7 @@ mod tests {
         let guard = g.lock_weights_shared();
         let digest = guard.digest();
         let total = guard.size();
-        let lease = pipeline.lease(ctx);
+        let lease = pipeline.lease_for(ctx, None).unwrap();
         let start = pipeline.copy_streamed(ctx, &guard, &lease, total).unwrap();
         drop(guard);
         pipeline.seal(ctx, &lease, 1, total, start).unwrap();
@@ -1938,7 +1919,7 @@ mod tests {
             let digest = guard.digest();
             let total = guard.size();
             let lease = pipeline.lease_for(ctx, Some(job)).unwrap();
-            assert_eq!(lease.job(), Some(job));
+            assert_eq!(lease.job(), job);
             let start = pipeline.copy_streamed(ctx, &guard, &lease, total).unwrap();
             drop(guard);
             pipeline.seal(ctx, &lease, iter, total, start).unwrap();
@@ -2078,7 +2059,7 @@ mod tests {
         let guard = g.lock_weights_shared();
         let digest = guard.digest();
         let start = telemetry.now_nanos();
-        let lease = pipeline.lease(ctx);
+        let lease = pipeline.lease_for(ctx, None).unwrap();
         pipeline
             .write_through(ctx, &guard, &lease, 1, start)
             .unwrap();
@@ -2103,7 +2084,7 @@ mod tests {
         let cap = CheckpointStore::required_capacity(state, 4) + ByteSize::from_kb(1);
         let device: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let store = Arc::new(CheckpointStore::format(Arc::clone(&device), state, 4).unwrap());
+        let store = Arc::new(CheckpointStore::format(Arc::clone(&device), state, 4, 0).unwrap());
         let pipeline = PersistPipeline::new(store)
             .with_writers(2)
             .with_staging(HostBufferPool::new(
@@ -2344,7 +2325,7 @@ mod tests {
             .codec
             .dedup
             .lock()
-            .generation_counter(None)
+            .generation_counter(crate::store::OWNER_JOB)
             .is_some());
         pipeline.set_codec_enabled(false);
         assert!(
@@ -2352,7 +2333,7 @@ mod tests {
                 .codec
                 .dedup
                 .lock()
-                .generation_counter(None)
+                .generation_counter(crate::store::OWNER_JOB)
                 .is_none(),
             "disable drops generations; re-enable starts cold"
         );
@@ -2361,7 +2342,7 @@ mod tests {
             .codec
             .dedup
             .lock()
-            .generation_counter(None)
+            .generation_counter(crate::store::OWNER_JOB)
             .is_none());
     }
 }

@@ -385,7 +385,7 @@ mod tests {
                         } else {
                             q.dequeue_blocking()
                         };
-                        if (round + t as usize) % 2 == 0 {
+                        if (round + t as usize).is_multiple_of(2) {
                             q.enqueue_blocking(v);
                         } else {
                             // Non-blocking enqueue, spun by hand (transient

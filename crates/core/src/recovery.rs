@@ -3,7 +3,7 @@
 //!
 //! The recovery path itself is instrumented ([`recover_instrumented`]):
 //! the store-open/slot-scan, payload-load, and digest-verify steps each
-//! land as [`Phase`] spans on the telemetry timeline and as a
+//! land as [`Phase`](pccheck_telemetry::Phase) spans on the telemetry timeline and as a
 //! [`RecoveryTrace`] of wall-clock nanoseconds, so recovery time is a
 //! measured first-class figure rather than only a model.
 
@@ -47,6 +47,10 @@ impl RecoveredCheckpoint {
 /// Produced by [`recover_instrumented`]; the same durations are recorded
 /// as [`Phase::RecoveryScan`] / [`Phase::RecoveryLoad`] /
 /// [`Phase::RecoveryVerify`] spans when telemetry is enabled.
+///
+/// [`Phase::RecoveryScan`]: pccheck_telemetry::Phase::RecoveryScan
+/// [`Phase::RecoveryLoad`]: pccheck_telemetry::Phase::RecoveryLoad
+/// [`Phase::RecoveryVerify`]: pccheck_telemetry::Phase::RecoveryVerify
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryTrace {
     /// Store open + `CHECK_ADDR`/slot-meta scan time, nanoseconds.
@@ -95,29 +99,6 @@ pub struct RecoveryTrace {
 /// * [`PccheckError::InvalidConfig`] if the device holds no PCcheck store.
 pub fn recover(device: Arc<dyn PersistentDevice>) -> Result<RecoveredCheckpoint, PccheckError> {
     recover_instrumented(device, &Telemetry::disabled()).map(|(r, _)| r)
-}
-
-/// [`recover`] scoped to one tenant of a multi-tenant (service-mode)
-/// store: only `job`'s namespace slots are candidates, so a torn newest
-/// checkpoint falls back within the job's own history and never onto
-/// another tenant's state.
-///
-/// # Errors
-///
-/// Same as [`recover`], plus [`PccheckError::InvalidConfig`] when the
-/// device does not hold a multi-tenant store.
-/// [`PccheckError::NoCheckpoint`] means *this job* has no committed
-/// checkpoint, even if other namespaces do.
-pub fn recover_job(
-    device: Arc<dyn PersistentDevice>,
-    job: crate::store::JobId,
-) -> Result<RecoveredCheckpoint, PccheckError> {
-    let options = RestoreOptions {
-        job: Some(job),
-        ..RestoreOptions::default()
-    };
-    crate::restore::recover_instrumented_with(device, &Telemetry::disabled(), options)
-        .map(|(r, _)| r)
 }
 
 /// [`recover`] with recovery-path instrumentation: phase spans on
@@ -305,23 +286,36 @@ mod tests {
         let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 2);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 2).unwrap();
+        CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 2, 0).unwrap();
         assert_eq!(recover(dev), Err(PccheckError::NoCheckpoint));
     }
 
     /// Commits `n` checkpoints of distinct raw payloads (digest = raw
     /// checksum) and returns the store.
     fn committed_store(dev: Arc<dyn PersistentDevice>, n: u64) -> CheckpointStore {
-        let st = CheckpointStore::format(dev, ByteSize::from_bytes(64), 3).unwrap();
+        let st = CheckpointStore::format(dev, ByteSize::from_bytes(64), 3, 0).unwrap();
         for i in 1..=n {
             let payload = format!("payload-{i}");
-            let lease = st.begin_checkpoint();
+            let lease = st.begin_checkpoint(None).unwrap();
             st.write_payload(&lease, 0, payload.as_bytes()).unwrap();
             st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
             st.commit(lease, i, payload.len() as u64, checksum(payload.as_bytes()))
                 .unwrap();
         }
         st
+    }
+
+    /// Recovery scoped to `job`'s namespace.
+    fn recover_for(
+        dev: &Arc<dyn PersistentDevice>,
+        job: u64,
+    ) -> Result<RecoveredCheckpoint, PccheckError> {
+        let options = RestoreOptions {
+            job: Some(job),
+            ..RestoreOptions::default()
+        };
+        crate::restore::recover_instrumented_with(Arc::clone(dev), &Telemetry::disabled(), options)
+            .map(|(r, _)| r)
     }
 
     #[test]
@@ -371,7 +365,7 @@ mod tests {
         st.allocate_namespace(2, 3).unwrap();
         let commit = |job: u64, iter: u64| {
             let payload = format!("job{job}-iter{iter}");
-            let lease = st.begin_checkpoint_job(job).unwrap();
+            let lease = st.begin_checkpoint(Some(job)).unwrap();
             st.write_payload(&lease, 0, payload.as_bytes()).unwrap();
             st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
             st.commit(
@@ -393,33 +387,30 @@ mod tests {
 
         // Job 1 falls back to its own iter 1 — not to job 2's newer
         // checkpoint, which is a different tenant's state.
-        let rec = recover_job(Arc::clone(&dev), 1).unwrap();
+        let rec = recover_for(&dev, 1).unwrap();
         assert_eq!(rec.iteration, 1);
         assert_eq!(rec.payload, b"job1-iter1");
         // Job 2 recovers its own head untouched by job 1's corruption.
-        let rec = recover_job(Arc::clone(&dev), 2).unwrap();
+        let rec = recover_for(&dev, 2).unwrap();
         assert_eq!(rec.iteration, 7);
         assert_eq!(rec.payload, b"job2-iter7");
         // A job with no namespace has no checkpoint.
-        assert_eq!(
-            recover_job(Arc::clone(&dev), 99),
-            Err(PccheckError::NoCheckpoint)
-        );
+        assert_eq!(recover_for(&dev, 99), Err(PccheckError::NoCheckpoint));
         // Unscoped recovery still picks the globally newest commit.
         assert_eq!(recover(dev).unwrap().iteration, 7);
     }
 
     #[test]
-    fn job_scoped_recovery_rejects_single_tenant_stores() {
+    fn job_scoped_recovery_of_a_single_tenant_store() {
         let cap =
             CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3) + ByteSize::from_kb(1);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        committed_store(Arc::clone(&dev), 1);
-        assert!(matches!(
-            recover_job(dev, 1),
-            Err(PccheckError::InvalidConfig(_))
-        ));
+        committed_store(Arc::clone(&dev), 2);
+        // The owner namespace spans every slot; any other job has none.
+        let rec = recover_for(&dev, crate::store::OWNER_JOB).unwrap();
+        assert_eq!(rec.iteration, 2);
+        assert_eq!(recover_for(&dev, 1), Err(PccheckError::NoCheckpoint));
     }
 
     #[test]
@@ -472,6 +463,7 @@ mod tests {
                 Arc::clone(&ssd) as Arc<dyn PersistentDevice>,
                 gpu.state_size(),
                 4,
+                0,
             )
             .unwrap(),
         );

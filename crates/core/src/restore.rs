@@ -27,6 +27,7 @@
 //! within one recovery pass so a torn newest delta does not force the
 //! shared base to be re-read and re-verified.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
@@ -60,10 +61,11 @@ pub struct RestoreOptions {
     /// How many of the newest candidates have their digest tables probed
     /// concurrently before the first payload fetch starts.
     pub probe: usize,
-    /// On a multi-tenant (service-mode) store, recover only this job's
-    /// namespace: candidates outside its slot range are never considered,
-    /// so one tenant's torn checkpoint can never fall back onto another
-    /// tenant's state. `None` recovers the newest checkpoint store-wide.
+    /// Recover only this job's namespace: candidates outside its slot
+    /// range are never considered, so one tenant's torn checkpoint can
+    /// never fall back onto another tenant's state. `None` recovers the
+    /// newest checkpoint store-wide (on a `format`ted store, the owner
+    /// namespace's).
     pub job: Option<crate::store::JobId>,
 }
 
@@ -92,6 +94,15 @@ impl RestoreSink for RestoreTarget {
     }
 }
 
+/// The identity of a committed layer: `(counter, slot)`.
+type LayerKey = (u64, u32);
+/// A cached full payload with the full-state digest it verified against
+/// (`None` = the layer failed).
+type FullLayer = Option<(Arc<Vec<u8>>, u64)>;
+/// A cached delta layer: decoded extent table + raw slot payload (`None`
+/// = the layer failed).
+type DeltaLayer = Option<Arc<(ExtentTable, Vec<u8>)>>;
+
 /// Verified layers shared across candidates within one recovery pass.
 ///
 /// Keyed by `(counter, slot)` — the identity a delta link names. `None`
@@ -102,10 +113,10 @@ pub struct LayerCache {
     /// Verified full payloads (delta-chain roots) with the full-state
     /// digest they verified against (for legacy roots that is the meta
     /// digest; for framed roots, the frame's end-to-end digest).
-    full: HashMap<(u64, u32), Option<(Arc<Vec<u8>>, u64)>>,
+    full: HashMap<LayerKey, FullLayer>,
     /// Verified delta payloads: decoded extent table + raw slot payload
     /// with every per-extent digest already checked.
-    delta: HashMap<(u64, u32), Option<Arc<(ExtentTable, Vec<u8>)>>>,
+    delta: HashMap<LayerKey, DeltaLayer>,
 }
 
 /// Per-fetch accounting the private fetch paths hand back to the recovery
@@ -130,7 +141,7 @@ pub struct RestorePipeline {
     pool: Option<HostBufferPool>,
     /// Digest tables probed ahead of the fetches, keyed `(counter, slot)`.
     /// A present `None` means "probed, no usable table" — don't re-read.
-    tables: Arc<Mutex<HashMap<(u64, u32), Option<ChunkDigestTable>>>>,
+    tables: Arc<Mutex<HashMap<LayerKey, Option<ChunkDigestTable>>>>,
     /// Memoized payload-head classification (framed or not), keyed
     /// `(counter, slot)` — chain walks re-ask per candidate and the device
     /// contents cannot change mid-pass.
@@ -674,7 +685,7 @@ impl RestorePipeline {
 
         let mut out = vec![0u8; usize::try_from(table.logical_len).ok()?];
         // Base payloads read once per referenced checkpoint, not per chunk.
-        let mut bases: HashMap<(u64, u32), Option<(CheckMeta, Vec<u8>)>> = HashMap::new();
+        let mut bases: HashMap<LayerKey, Option<(CheckMeta, Vec<u8>)>> = HashMap::new();
         let mut offsets = Vec::with_capacity(table.records.len());
         let mut off = 0usize;
         for r in &table.records {
@@ -716,7 +727,7 @@ impl RestorePipeline {
                     });
                     let (base_meta, base_payload) = entry.as_ref()?;
                     let chunk =
-                        resolve_base_chunk(base_meta, base_payload, r.digest, r.b, r.logical_len)?;
+                        resolve_base_chunk(base_meta, base_payload, r.digest, r.logical_len)?;
                     out.get_mut(off..off + n)?.copy_from_slice(&chunk);
                 }
             }
@@ -785,8 +796,7 @@ impl RestorePipeline {
             .filter(|d| !cache.delta.contains_key(&(d.counter, d.slot)))
             .copied()
             .collect();
-        let fetched: Mutex<Vec<((u64, u32), Option<Arc<(ExtentTable, Vec<u8>)>>)>> =
-            Mutex::new(Vec::new());
+        let fetched: Mutex<Vec<(LayerKey, DeltaLayer)>> = Mutex::new(Vec::new());
         std::thread::scope(|s| {
             for d in &uncached {
                 let fetched = &fetched;
@@ -795,15 +805,14 @@ impl RestorePipeline {
                     fetched.lock().push(((d.counter, d.slot), layer));
                 });
             }
-            if !cache.full.contains_key(&root_key) {
-                let payload = if self.is_framed(&root) {
+            if let Entry::Vacant(entry) = cache.full.entry(root_key) {
+                entry.insert(if self.is_framed(&root) {
                     self.fetch_framed(ctx, &root, candidates)
                         .map(|(p, fd)| (Arc::new(p), fd))
                 } else {
                     self.fetch_verified(ctx, &root)
                         .map(|p| (Arc::new(p), root.digest))
-                };
-                cache.full.insert(root_key, payload);
+                });
             }
         });
         for (key, layer) in fetched.into_inner() {
@@ -904,45 +913,32 @@ impl RestorePipeline {
 }
 
 /// Resolves one base-dedup reference from the base checkpoint's raw slot
-/// payload: a framed base answers from the materialized record matching
-/// the reference's content address; a legacy full base answers the logical
-/// byte range directly. Extent-delta bases are never valid dedup targets
-/// (the persist path only installs materialized framed chunks), so they
-/// resolve to `None`.
-fn resolve_base_chunk(
-    base: &CheckMeta,
-    payload: &[u8],
-    digest: u64,
-    logical_off: u64,
-    len: u64,
-) -> Option<Vec<u8>> {
-    let n = usize::try_from(len).ok()?;
+/// payload: the materialized record of the framed base matching the
+/// reference's content address. `DedupIndex::install` only ever indexes
+/// framed commits, so a base that is not framed (a raw full checkpoint
+/// or an extent delta) resolves to `None`.
+fn resolve_base_chunk(base: &CheckMeta, payload: &[u8], digest: u64, len: u64) -> Option<Vec<u8>> {
     let framed =
         payload.len() >= 8 && u64::from_le_bytes(payload[..8].try_into().ok()?) == FRAME_MAGIC;
-    if framed {
-        let table = FrameTable::decode(payload)?;
-        let table_len = usize::try_from(table.encoded_len()).ok()?;
-        if checksum(payload.get(..table_len)?) != base.digest {
-            return None;
-        }
-        let packed = payload.get(table_len..)?;
-        let rec = table
-            .records
-            .iter()
-            .find(|r| r.kind.is_materialized() && r.digest == digest && r.logical_len == len)?;
-        let end = usize::try_from(rec.a.checked_add(rec.b)?).ok()?;
-        let src = packed.get(usize::try_from(rec.a).ok()?..end)?;
-        match rec.kind {
-            ChunkEncoding::Raw => Some(src.to_vec()),
-            ChunkEncoding::Lz => lz_decompress(src, n),
-            _ => None,
-        }
-    } else if base.delta.is_none() {
-        // Legacy full checkpoint: logical bytes are the physical payload.
-        let start = usize::try_from(logical_off).ok()?;
-        Some(payload.get(start..start.checked_add(n)?)?.to_vec())
-    } else {
-        None
+    if !framed {
+        return None;
+    }
+    let table = FrameTable::decode(payload)?;
+    let table_len = usize::try_from(table.encoded_len()).ok()?;
+    if checksum(payload.get(..table_len)?) != base.digest {
+        return None;
+    }
+    let packed = payload.get(table_len..)?;
+    let rec = table
+        .records
+        .iter()
+        .find(|r| r.kind.is_materialized() && r.digest == digest && r.logical_len == len)?;
+    let end = usize::try_from(rec.a.checked_add(rec.b)?).ok()?;
+    let src = packed.get(usize::try_from(rec.a).ok()?..end)?;
+    match rec.kind {
+        ChunkEncoding::Raw => Some(src.to_vec()),
+        ChunkEncoding::Lz => lz_decompress(src, usize::try_from(len).ok()?),
+        _ => None,
     }
 }
 
@@ -1006,14 +1002,10 @@ fn recover_core(
     let store = Arc::new(CheckpointStore::open(device)?);
     store.flight().record_run(FlightEventKind::RecoveryStart, 0);
     // Candidates: every slot holding a complete checkpoint, newest first.
-    // With a job filter, only that namespace's slots are candidates.
+    // With a job filter, only that namespace's slots are candidates (none
+    // when the job has no namespace).
     let mut candidates = store.history()?;
     if let Some(job) = options.job {
-        if !store.is_multi_tenant() {
-            return Err(PccheckError::InvalidConfig(
-                "job-scoped recovery needs a multi-tenant store".into(),
-            ));
-        }
         candidates.retain(|m| store.namespace_of_slot(m.slot) == Some(job));
     }
     candidates.reverse();
@@ -1181,7 +1173,7 @@ mod tests {
         let cap = CheckpointStore::required_capacity(slot, 3) + ByteSize::from_kb(1);
         let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let store = Arc::new(
-            CheckpointStore::format(Arc::clone(&ssd) as Arc<dyn PersistentDevice>, slot, 3)
+            CheckpointStore::format(Arc::clone(&ssd) as Arc<dyn PersistentDevice>, slot, 3, 0)
                 .unwrap(),
         );
         let mut payloads = Vec::new();
@@ -1189,7 +1181,7 @@ mod tests {
             let payload: Vec<u8> = (0..payload_bytes)
                 .map(|b| (b as u8).wrapping_mul(31).wrapping_add(i as u8))
                 .collect();
-            let lease = store.begin_checkpoint();
+            let lease = store.begin_checkpoint(None).unwrap();
             store.write_payload(&lease, 0, &payload).unwrap();
             store.persist_payload(&lease, 0, payload_bytes).unwrap();
             let digest = checksum(&payload);
@@ -1223,6 +1215,7 @@ mod tests {
                 Arc::clone(&ssd) as Arc<dyn PersistentDevice>,
                 gpu.state_size(),
                 4,
+                0,
             )
             .unwrap(),
         );
@@ -1236,7 +1229,7 @@ mod tests {
             gpu.update();
             let guard = gpu.lock_weights_shared();
             let digest = guard.digest().0;
-            let lease = pipeline.lease(ctx);
+            let lease = pipeline.lease_for(ctx, None).unwrap();
             let persist_start = pipeline.copy_streamed(ctx, &guard, &lease, total).unwrap();
             drop(guard);
             pipeline
@@ -1350,7 +1343,7 @@ mod tests {
         let (ssd, store, payloads) = raw_store(1, 16 * 1024, 4096, true);
         let meta = store.latest_committed().unwrap();
         // Tear the table's trailing CRC; the payload itself is intact.
-        let table_off = store.slot_digest_offset(meta.slot).unwrap();
+        let table_off = store.slot_digest_offset(meta.slot);
         let tear = table_off + ChunkDigestTable::encoded_len_for(4) - 1;
         let mut b = [0u8; 1];
         ssd.read_durable_at(tear, &mut b).unwrap();
@@ -1431,6 +1424,7 @@ mod tests {
                 Arc::clone(&ssd) as Arc<dyn PersistentDevice>,
                 gpu.state_size(),
                 4,
+                0,
             )
             .unwrap(),
         );
@@ -1517,6 +1511,7 @@ mod tests {
                 Arc::clone(&ssd) as Arc<dyn PersistentDevice>,
                 gpu.state_size(),
                 4,
+                0,
             )
             .unwrap(),
         );
@@ -1554,6 +1549,51 @@ mod tests {
         assert_eq!(trace.chain_links, 2);
         assert_eq!(fresh.digest(), want);
         assert_eq!(fresh.step_count(), 3);
+    }
+
+    #[test]
+    fn dedup_reference_into_a_raw_base_is_rejected() {
+        // Two raw full checkpoints, then a frame whose one DedupBase record
+        // names the newest of them. Dedup only ever indexes framed commits,
+        // so the reference is forged: the frame must fail and recovery must
+        // fall back to the raw checkpoint it pointed at.
+        let (ssd, store, payloads) = raw_store(2, 4096, 4096, false);
+        let base = store.latest_committed().unwrap();
+        let lease = store.begin_checkpoint(None).unwrap();
+        let table = FrameTable {
+            counter: lease.counter,
+            logical_len: 4096,
+            full_digest: checksum(&payloads[1]),
+            records: vec![crate::codec::FrameRecord {
+                kind: ChunkEncoding::DedupBase,
+                aux: base.slot,
+                logical_len: 4096,
+                a: base.counter,
+                b: 0,
+                digest: chunk_digest(&payloads[1]),
+            }],
+        };
+        let frame = table.encode();
+        store.write_payload(&lease, 0, &frame).unwrap();
+        store
+            .persist_payload(&lease, 0, frame.len() as u64)
+            .unwrap();
+        store
+            .commit(lease, 3, frame.len() as u64, checksum(&frame))
+            .unwrap();
+        assert_eq!(store.latest_committed().unwrap().iteration, 3);
+        drop(store);
+        ssd.crash_now();
+        ssd.recover();
+
+        let (rec, trace) = crate::recover_instrumented(
+            Arc::clone(&ssd) as Arc<dyn PersistentDevice>,
+            &Telemetry::disabled(),
+        )
+        .unwrap();
+        assert_eq!(rec.iteration, 2, "fell back past the forged frame");
+        assert_eq!(rec.payload, payloads[1]);
+        assert_eq!(trace.fallbacks, 1);
     }
 
     #[test]

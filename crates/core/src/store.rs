@@ -5,48 +5,64 @@
 //!
 //! ```text
 //! +--------------------+  offset 0
-//! | store header (64B) |  magic, slot count, slot size
+//! | store header (64B) |  magic "PCcheCk2", slot count, slot size, ring
+//! |                    |  records, digest chunks, directory capacity
 //! +--------------------+  offset 64
-//! | CHECK_ADDR record  |  CheckMeta of the latest committed checkpoint
-//! |        (64B)       |  (one cache line: atomically persistable)
-//! +--------------------+  offset 128
 //! | slot 0 meta (64B)  |
 //! | slot 0 payload     |
 //! +--------------------+
 //! | slot 1 meta ...    |
-//! +--------------------+  offset 128 + slots·(64 + slot_size)
+//! +--------------------+  offset 64 + slots·(64 + slot_size)
 //! | flight ring        |  optional crash-safe telemetry ring
 //! | (header + records) |  (`flight_records` > 0)
 //! +--------------------+
-//! | digest tables      |  optional per-slot per-chunk digest tables
-//! | (slots · stride)   |  (`digest_chunks` > 0; advisory, CRC-protected)
+//! | digest tables      |  per-slot per-chunk digest tables
+//! | (slots · stride)   |  (advisory, CRC-protected)
 //! +--------------------+
-//! | namespace directory|  optional multi-tenant directory
-//! | (max_ns · 128B)    |  (`max_namespaces` > 0; descriptor + per-job
-//! +--------------------+   CHECK_ADDR record per entry)
-//! | slot state words   |  optional per-slot commit-state records
-//! | (slots · 64B)      |  (header flag at bytes 32..36; the lattice
-//! +--------------------+   Free → Claimed{c} → Committed{c})
+//! | namespace directory|  one entry per namespace: descriptor +
+//! | (max_ns · 128B)    |  that namespace's CHECK_ADDR record
+//! +--------------------+
+//! | slot state words   |  per-slot commit-state records (the lattice
+//! | (slots · 64B)      |  Free → Claimed{c} → Committed{c})
+//! +--------------------+
 //! ```
+//!
+//! The header's magic is the layout version: a store of any other layout
+//! fails to open instead of being misread.
 //!
 //! The digest region holds one fixed-stride [`ChunkDigestTable`] per slot,
 //! written after the payload persists but bound to a specific commit by
 //! `(counter, payload_digest)` — a stale or torn table is detected and
-//! ignored, dropping recovery back to the legacy whole-payload digests.
-//! Stores formatted before this region existed read `digest_chunks == 0`
-//! from the header and behave exactly as before.
+//! ignored, dropping recovery back to the whole-payload digests.
 //!
-//! With `N` allowed concurrent checkpoints the store holds `N+1` slots —
+//! With `N` allowed concurrent checkpoints a namespace holds `N+1` slots —
 //! the `(N+1)·m` storage footprint of Table 1 — guaranteeing one fully
 //! persisted checkpoint exists at all times once the first commit lands.
 //!
+//! # Namespaces
+//!
+//! Every store carves its slot array into contiguous per-job
+//! **namespaces**. Each namespace owns a private free-slot queue and a
+//! private `CHECK_ADDR` (in memory and in its directory entry), so the
+//! full Listing 1 commit protocol runs independently per tenant: jobs
+//! never race each other's CAS, never lease each other's slots, and
+//! recover independently. The global counter stays store-wide, keeping
+//! every checkpoint's counter unique across tenants (forensics and the
+//! flight ring rely on that).
+//!
+//! [`CheckpointStore::format`] carves one *owner* namespace
+//! ([`OWNER_JOB`]) over every slot at format time — a single-tenant store
+//! is a store with one namespace, and job arguments of `None` name it.
+//! [`CheckpointStore::format_service`] leaves the directory empty for
+//! [`CheckpointStore::allocate_namespace`] to fill.
+//!
 //! # Commit protocol (Listing 1, lock-free)
 //!
-//! 1. read the current `CHECK_ADDR` (`last_check`),
+//! 1. read the namespace's current `CHECK_ADDR` (`last_check`),
 //! 2. `atomic_add` the global counter → `curr_counter`,
-//! 3. dequeue a free slot from the lock-free queue (spinning if none),
-//!    CAS its in-memory state word Free → Claimed{counter}, and publish
-//!    the durable claim word (best-effort),
+//! 3. dequeue a free slot from the namespace's lock-free queue (spinning
+//!    if none), CAS its in-memory state word Free → Claimed{counter}, and
+//!    publish the durable claim word (best-effort),
 //! 4. write + persist the payload (the engine does this with `p` writer
 //!    threads),
 //! 5. write + persist the slot's meta record (`BARRIER(cur_check)`),
@@ -63,8 +79,8 @@
 //!
 //! No step ever holds a mutex — and in particular no mutex is held
 //! across device I/O. The durable `CHECK_ADDR` write is made idempotent
-//! by a `fetch_max` watermark over the last-persisted counter
-//! ([`CommitPointer`]); a racing publisher can at worst re-persist a
+//! by a `fetch_max` watermark over the last-persisted counter (the
+//! private `CommitPointer`); a racing publisher can at worst re-persist a
 //! *stale* record, which recovery tolerates because the slot scan takes
 //! the max valid counter and a newer commit's slot record is always
 //! durable before its `CHECK_ADDR` publish (see DESIGN §13).
@@ -75,30 +91,13 @@
 //!
 //! # The per-slot commit-state lattice
 //!
-//! Stores formatted by this version additionally carry one durable
-//! [`SlotState`] word per slot (header flag at bytes 32..36). The claim
-//! step publishes Claimed{counter}; the commit winner publishes
+//! Every slot carries one durable [`SlotState`] word. The claim step
+//! publishes Claimed{counter}; the commit winner publishes
 //! Committed{counter}; recycling deliberately leaves the durable word
 //! alone (counters rank claims). After a crash every slot's outcome is
 //! decidable from its state word plus the meta record's CRC —
 //! [`RawStoreView::slot_outcome`] is the decision procedure — which is
 //! what makes the lock-free commit *detectable* in the memento sense.
-//! Legacy stores read the flag as zero and classify from meta CRCs
-//! alone, exactly as before.
-//!
-//! # Multi-tenant namespaces
-//!
-//! A *service-mode* store (formatted via
-//! [`CheckpointStore::format_service`]) additionally carves its slot array
-//! into contiguous per-job **namespaces**. Each namespace owns a private
-//! free-slot queue and a private `CHECK_ADDR` (in memory and on device, in
-//! the directory at the tail of the layout), so the full Listing 1 commit
-//! protocol runs independently per tenant: jobs never race each other's
-//! CAS, never lease each other's slots, and recover independently. The
-//! global counter stays store-wide, keeping every checkpoint's counter
-//! unique across tenants (forensics and the flight ring rely on that).
-//! Legacy stores carry `max_namespaces == 0` in the header and behave
-//! exactly as before.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -119,10 +118,12 @@ use crate::queue::SlotQueue;
 /// fluid-model job ids so fairness oracles line up).
 pub type JobId = u64;
 
-const STORE_MAGIC: u64 = 0x5043_6368_6543_6B31; // "PCcheCk1"
+/// The job of the owner namespace [`CheckpointStore::format`] carves over
+/// every slot. Job arguments of `None` resolve to it.
+pub const OWNER_JOB: JobId = 0;
+
+const STORE_MAGIC: u64 = 0x5043_6368_6543_6B32; // "PCcheCk2"
 const HEADER_SIZE: u64 = 64;
-const CHECK_ADDR_OFFSET: u64 = HEADER_SIZE;
-const SLOTS_OFFSET: u64 = HEADER_SIZE + META_RECORD_SIZE;
 
 /// Stride of one namespace-directory entry: the 64-byte descriptor
 /// followed by that namespace's own 64-byte CHECK_ADDR record.
@@ -131,8 +132,117 @@ const NS_ENTRY_SIZE: u64 = NS_DESC_SIZE + META_RECORD_SIZE;
 /// The finest chunk granularity the per-slot digest region is provisioned
 /// for: a slot of `s` bytes gets room for `ceil(s / 4096)` chunk digests,
 /// a fixed ~0.2% capacity overhead. Pipelines chunking finer than this on
-/// a given payload simply skip the table (legacy verification applies).
+/// a given payload simply skip the table (whole-payload verification
+/// applies).
 const DIGEST_CHUNK_GRAIN: u64 = 4096;
+
+/// The geometry a store header records, and every region offset derived
+/// from it (regions follow each other in the order of the module diagram).
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    slots: u32,
+    slot_size: ByteSize,
+    flight_records: u32,
+    /// Per-slot digest-table capacity in chunk digests.
+    digest_chunks: u32,
+    max_namespaces: u32,
+}
+
+impl Layout {
+    fn new(slot_size: ByteSize, slots: u32, flight_records: u32, max_namespaces: u32) -> Layout {
+        Layout {
+            slots,
+            slot_size,
+            flight_records,
+            digest_chunks: slot_size
+                .as_u64()
+                .div_ceil(DIGEST_CHUNK_GRAIN)
+                .min(u64::from(u32::MAX)) as u32,
+            max_namespaces,
+        }
+    }
+
+    fn encode(&self) -> [u8; HEADER_SIZE as usize] {
+        let mut header = [0u8; HEADER_SIZE as usize];
+        header[0..8].copy_from_slice(&STORE_MAGIC.to_le_bytes());
+        header[8..12].copy_from_slice(&self.slots.to_le_bytes());
+        header[12..20].copy_from_slice(&self.slot_size.as_u64().to_le_bytes());
+        header[20..24].copy_from_slice(&self.flight_records.to_le_bytes());
+        header[24..28].copy_from_slice(&self.digest_chunks.to_le_bytes());
+        header[28..32].copy_from_slice(&self.max_namespaces.to_le_bytes());
+        header
+    }
+
+    /// Reads the durable header of the store on `device`.
+    fn read(device: &dyn PersistentDevice) -> Result<Layout, PccheckError> {
+        let mut header = [0u8; HEADER_SIZE as usize];
+        device.read_durable_at(0, &mut header)?;
+        if header[0..8] != STORE_MAGIC.to_le_bytes() {
+            return Err(PccheckError::InvalidConfig(
+                "device holds no PCcheck store of this layout (bad magic)".into(),
+            ));
+        }
+        let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+        Ok(Layout {
+            slots: word(8),
+            slot_size: ByteSize::from_bytes(u64::from_le_bytes(
+                header[12..20].try_into().expect("8 bytes"),
+            )),
+            flight_records: word(20),
+            digest_chunks: word(24),
+            max_namespaces: word(28),
+        })
+    }
+
+    fn slot_meta(&self, slot: u32) -> u64 {
+        HEADER_SIZE + u64::from(slot) * (META_RECORD_SIZE + self.slot_size.as_u64())
+    }
+
+    fn flight_base(&self) -> u64 {
+        self.slot_meta(self.slots)
+    }
+
+    fn digest_stride(&self) -> u64 {
+        ChunkDigestTable::encoded_len_for(self.digest_chunks as usize)
+    }
+
+    fn slot_digest(&self, slot: u32) -> u64 {
+        let ring = if self.flight_records == 0 {
+            0
+        } else {
+            FlightRing::required_capacity(self.flight_records)
+        };
+        self.flight_base() + ring + u64::from(slot) * self.digest_stride()
+    }
+
+    fn ns_entry(&self, index: u32) -> u64 {
+        self.slot_digest(self.slots) + u64::from(index) * NS_ENTRY_SIZE
+    }
+
+    fn slot_state(&self, slot: u32) -> u64 {
+        self.ns_entry(self.max_namespaces) + u64::from(slot) * SLOT_STATE_SIZE
+    }
+
+    /// Total device bytes the layout spans.
+    fn end(&self) -> u64 {
+        self.slot_state(self.slots)
+    }
+
+    /// Reads directory entry `index`, returning the descriptor when it
+    /// decodes and names a nonempty slot range inside the store.
+    fn read_ns_desc(
+        &self,
+        device: &dyn PersistentDevice,
+        index: u32,
+    ) -> Result<Option<NamespaceDesc>, PccheckError> {
+        let mut buf = [0u8; NS_DESC_SIZE as usize];
+        device.read_durable_at(self.ns_entry(index), &mut buf)?;
+        // An undecodable entry is unallocated (or torn mid-allocate: no
+        // data yet); an out-of-range one is corrupt and treated the same.
+        Ok(NamespaceDesc::decode(&buf)
+            .filter(|d| d.slot_count > 0 && d.slot_start + d.slot_count <= self.slots))
+    }
+}
 
 /// Outcome of a commit attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,8 +261,8 @@ pub enum CommitOutcome {
 /// A checkpoint slot leased from the store for writing.
 ///
 /// Obtained from [`CheckpointStore::begin_checkpoint`]; the holder writes
-/// the payload at [`payload_offset`](SlotLease::payload_offset) and then
-/// calls [`CheckpointStore::commit`].
+/// the payload at [`CheckpointStore::slot_payload_offset`] of its slot and
+/// then calls [`CheckpointStore::commit`].
 #[derive(Debug)]
 pub struct SlotLease {
     /// The global counter assigned to this checkpoint.
@@ -162,16 +272,15 @@ pub struct SlotLease {
     /// The `CHECK_ADDR` observed before the counter was taken (Listing 1
     /// line 3) — the CAS baseline.
     last_check: PackedCheckAddr,
-    /// The namespace the lease was drawn from (`None` on a legacy
-    /// single-tenant store): commit routes its CAS, durable CHECK_ADDR
-    /// write, and slot recycling through this namespace's private state.
-    ns: Option<Arc<Namespace>>,
+    /// The namespace the lease was drawn from: commit routes its CAS,
+    /// durable CHECK_ADDR write, and slot recycling through it.
+    ns: Arc<Namespace>,
 }
 
 impl SlotLease {
-    /// The tenant this lease belongs to, or `None` on a legacy store.
-    pub fn job(&self) -> Option<JobId> {
-        self.ns.as_ref().map(|n| n.desc.job)
+    /// The job whose namespace this lease belongs to.
+    pub fn job(&self) -> JobId {
+        self.ns.desc.job
     }
 }
 
@@ -200,8 +309,8 @@ impl CommitPointer {
     }
 }
 
-/// One tenant's slice of a service-mode store: a contiguous slot range
-/// with its own free queue and commit pointer.
+/// One tenant's slice of the store: a contiguous slot range with its own
+/// free queue and commit pointer.
 #[derive(Debug)]
 pub(crate) struct Namespace {
     desc: NamespaceDesc,
@@ -217,10 +326,6 @@ impl Namespace {
     fn check_rec_offset(&self) -> u64 {
         self.dir_offset + NS_DESC_SIZE
     }
-
-    fn slot_range(&self) -> std::ops::Range<u32> {
-        self.desc.slot_start..self.desc.slot_start + self.desc.slot_count
-    }
 }
 
 /// The persistent checkpoint store.
@@ -231,163 +336,54 @@ impl Namespace {
 #[derive(Debug)]
 pub struct CheckpointStore {
     device: Arc<dyn PersistentDevice>,
-    slot_size: ByteSize,
-    num_slots: u32,
+    layout: Layout,
     global_counter: AtomicU64,
-    /// The store-wide CHECK_ADDR pointer + durable-publish watermark.
-    commit: CommitPointer,
-    free_slots: SlotQueue,
     /// In-memory per-slot commit-state words (packed [`SlotState`]), the
     /// volatile half of the lattice. A dequeued slot is CASed
     /// Free → Claimed{counter}; every release path stores Free *before*
     /// enqueueing, so the claim CAS can never lose.
     slot_states: Vec<AtomicU64>,
-    /// Whether the device carries the durable per-slot state region
-    /// (header flag; false on stores formatted before the lattice).
-    state_words: bool,
     /// Persistent flight recorder appending lifecycle milestones to the
     /// ring after the slots (disabled when the store was formatted with
     /// `flight_records = 0`).
     flight: FlightRecorder,
-    /// Flight-ring capacity in records (0 = no ring); part of the geometry
-    /// because the digest region starts after the ring.
-    flight_records: u32,
-    /// Per-slot digest-table capacity in chunk digests (0 = the store was
-    /// formatted without a digest region).
-    digest_chunks: u32,
-    /// Directory capacity in namespaces (0 = legacy single-tenant store).
-    max_namespaces: u32,
     /// Allocated namespaces, in directory order. Appended under the write
     /// lock by [`allocate_namespace`](Self::allocate_namespace); the hot
     /// commit path never takes this lock (the lease carries its `Arc`).
     namespaces: RwLock<Vec<Arc<Namespace>>>,
-    /// Next unallocated slot (service mode's bump allocator).
+    /// Next unallocated slot (the namespaces' bump allocator).
     next_free_slot: AtomicU32,
 }
 
 impl CheckpointStore {
-    /// Bytes of device space needed for `slots` slots of `slot_size` each
-    /// (no flight-recorder ring).
+    /// Bytes of device space a [`format`](Self::format)ted store of
+    /// `slots` slots of `slot_size` each needs without a flight ring.
     pub fn required_capacity(slot_size: ByteSize, slots: u32) -> ByteSize {
-        Self::required_capacity_with_flight(slot_size, slots, 0)
+        Self::required_capacity_service(slot_size, slots, 0, 1)
     }
 
-    /// Bytes of device space needed for `slots` slots of `slot_size` each
-    /// plus a flight-recorder ring of `flight_records` records (0 = none).
-    pub fn required_capacity_with_flight(
-        slot_size: ByteSize,
-        slots: u32,
-        flight_records: u32,
-    ) -> ByteSize {
-        let slots_end = ByteSize::from_bytes(SLOTS_OFFSET)
-            + (ByteSize::from_bytes(META_RECORD_SIZE) + slot_size) * u64::from(slots);
-        let with_flight = if flight_records == 0 {
-            slots_end
-        } else {
-            slots_end + ByteSize::from_bytes(FlightRing::required_capacity(flight_records))
-        };
-        let digest_chunks = Self::default_digest_chunks(slot_size);
-        with_flight
-            + ByteSize::from_bytes(
-                ChunkDigestTable::encoded_len_for(digest_chunks as usize) * u64::from(slots),
-            )
-            + ByteSize::from_bytes(SLOT_STATE_SIZE * u64::from(slots))
-    }
-
-    /// Bytes of device space a multi-tenant store needs: the legacy layout
-    /// plus a namespace directory of `max_namespaces` 128-byte entries.
+    /// Bytes of device space a store needs with a flight ring of
+    /// `flight_records` records (0 = none) and a namespace directory of
+    /// `max_namespaces` entries (1 for a [`format`](Self::format)ted
+    /// store).
     pub fn required_capacity_service(
         slot_size: ByteSize,
         slots: u32,
         flight_records: u32,
         max_namespaces: u32,
     ) -> ByteSize {
-        Self::required_capacity_with_flight(slot_size, slots, flight_records)
-            + ByteSize::from_bytes(NS_ENTRY_SIZE * u64::from(max_namespaces))
+        ByteSize::from_bytes(Layout::new(slot_size, slots, flight_records, max_namespaces).end())
     }
 
-    /// Device offset where the namespace directory starts for this
-    /// geometry — after the digest region, so every older region keeps its
-    /// offset. `digest_chunks` is the header's value (0 on stores without
-    /// a digest region).
-    fn ns_dir_base_static(
-        slot_size: ByteSize,
-        slots: u32,
-        flight_records: u32,
-        digest_chunks: u32,
-    ) -> u64 {
-        Self::digest_base_static(slot_size, slots, flight_records)
-            + ChunkDigestTable::encoded_len_for(digest_chunks as usize) * u64::from(slots)
+    /// Device offset of `slot`'s durable commit-state word.
+    pub fn slot_state_offset(&self, slot: u32) -> u64 {
+        self.layout.slot_state(slot)
     }
 
-    fn ns_dir_base(&self) -> u64 {
-        Self::ns_dir_base_static(
-            self.slot_size,
-            self.num_slots,
-            self.flight_records,
-            self.digest_chunks,
-        )
-    }
-
-    /// Device offset where the per-slot commit-state region starts for
-    /// this geometry — at the very tail, after the namespace directory,
-    /// so every older region keeps its offset.
-    fn slot_state_base_static(
-        slot_size: ByteSize,
-        slots: u32,
-        flight_records: u32,
-        digest_chunks: u32,
-        max_namespaces: u32,
-    ) -> u64 {
-        Self::ns_dir_base_static(slot_size, slots, flight_records, digest_chunks)
-            + NS_ENTRY_SIZE * u64::from(max_namespaces)
-    }
-
-    /// Device offset of `slot`'s durable commit-state word, or `None`
-    /// when the store was formatted before the lattice existed.
-    pub fn slot_state_offset(&self, slot: u32) -> Option<u64> {
-        self.state_words.then(|| {
-            Self::slot_state_base_static(
-                self.slot_size,
-                self.num_slots,
-                self.flight_records,
-                self.digest_chunks,
-                self.max_namespaces,
-            ) + u64::from(slot) * SLOT_STATE_SIZE
-        })
-    }
-
-    /// Chunk-digest capacity the default format provisions per slot:
-    /// enough for [`DIGEST_CHUNK_GRAIN`]-byte chunks over a full slot.
-    fn default_digest_chunks(slot_size: ByteSize) -> u32 {
-        slot_size
-            .as_u64()
-            .div_ceil(DIGEST_CHUNK_GRAIN)
-            .min(u64::from(u32::MAX)) as u32
-    }
-
-    /// Device offset where the per-slot digest tables start for this
-    /// geometry — after the flight ring (or after the slots when there is
-    /// no ring), so both older regions keep their offsets.
-    fn digest_base_static(slot_size: ByteSize, slots: u32, flight_records: u32) -> u64 {
-        Self::flight_base_static(slot_size, slots)
-            + if flight_records == 0 {
-                0
-            } else {
-                FlightRing::required_capacity(flight_records)
-            }
-    }
-
-    /// Device offset where the flight ring starts for this geometry — right
-    /// after the last slot, so slot offsets are identical with and without
-    /// a ring.
-    fn flight_base_static(slot_size: ByteSize, slots: u32) -> u64 {
-        SLOTS_OFFSET + u64::from(slots) * (META_RECORD_SIZE + slot_size.as_u64())
-    }
-
-    /// Formats a store on `device` with `slots` slots of `slot_size` bytes
-    /// (use `N+1` slots for `N` concurrent checkpoints), without a flight
-    /// recorder.
+    /// Formats a single-tenant store on `device`: `slots` slots of
+    /// `slot_size` bytes (use `N+1` slots for `N` concurrent checkpoints)
+    /// in one owner namespace, plus a persistent flight-recorder ring of
+    /// `flight_records` 64-byte records after the slots (0 = no ring).
     ///
     /// # Errors
     ///
@@ -397,38 +393,23 @@ impl CheckpointStore {
         device: Arc<dyn PersistentDevice>,
         slot_size: ByteSize,
         slots: u32,
-    ) -> Result<Self, PccheckError> {
-        Self::format_with_flight(device, slot_size, slots, 0)
-    }
-
-    /// Formats a store on `device` with `slots` slots of `slot_size` bytes
-    /// and, when `flight_records > 0`, a persistent flight-recorder ring of
-    /// that many 64-byte records after the slots.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PccheckError::InvalidConfig`] if geometry is invalid or the
-    /// device is too small, or a device error if formatting I/O fails.
-    pub fn format_with_flight(
-        device: Arc<dyn PersistentDevice>,
-        slot_size: ByteSize,
-        slots: u32,
         flight_records: u32,
     ) -> Result<Self, PccheckError> {
-        Self::format_inner(device, slot_size, slots, flight_records, 0)
+        let store = Self::format_service(device, slot_size, slots, flight_records, 1)?;
+        store.allocate_namespace(OWNER_JOB, slots)?;
+        Ok(store)
     }
 
     /// Formats a *multi-tenant* store: `slots` slots shared by up to
     /// `max_namespaces` per-job namespaces (allocated later via
     /// [`allocate_namespace`](Self::allocate_namespace)). No slot is
-    /// usable until a namespace claims it — service-mode stores have no
-    /// store-wide free queue.
+    /// usable until a namespace claims it.
     ///
     /// # Errors
     ///
-    /// Returns [`PccheckError::InvalidConfig`] if geometry is invalid,
-    /// `max_namespaces == 0`, or the device is too small; propagates
-    /// device errors.
+    /// Returns [`PccheckError::InvalidConfig`] if geometry is invalid
+    /// (fewer than 2 slots or 1 namespace, zero slot size) or the device
+    /// is too small; propagates device errors.
     pub fn format_service(
         device: Arc<dyn PersistentDevice>,
         slot_size: ByteSize,
@@ -436,24 +417,10 @@ impl CheckpointStore {
         flight_records: u32,
         max_namespaces: u32,
     ) -> Result<Self, PccheckError> {
-        if max_namespaces == 0 {
+        if slots < 2 || max_namespaces < 1 {
             return Err(PccheckError::InvalidConfig(
-                "service store needs max_namespaces >= 1 (use format for single-tenant)".into(),
-            ));
-        }
-        Self::format_inner(device, slot_size, slots, flight_records, max_namespaces)
-    }
-
-    fn format_inner(
-        device: Arc<dyn PersistentDevice>,
-        slot_size: ByteSize,
-        slots: u32,
-        flight_records: u32,
-        max_namespaces: u32,
-    ) -> Result<Self, PccheckError> {
-        if slots < 2 {
-            return Err(PccheckError::InvalidConfig(
-                "store needs at least 2 slots (N>=1 concurrent + 1 committed)".into(),
+                "store needs at least 2 slots (N>=1 concurrent + 1 committed) and 1 namespace"
+                    .into(),
             ));
         }
         if slot_size.is_zero() {
@@ -461,129 +428,68 @@ impl CheckpointStore {
                 "slot size must be nonzero".into(),
             ));
         }
-        let needed =
-            Self::required_capacity_service(slot_size, slots, flight_records, max_namespaces);
-        if needed > device.capacity() {
+        let layout = Layout::new(slot_size, slots, flight_records, max_namespaces);
+        if ByteSize::from_bytes(layout.end()) > device.capacity() {
             return Err(PccheckError::InvalidConfig(format!(
                 "device capacity {} < required {}",
                 device.capacity(),
-                needed
+                ByteSize::from_bytes(layout.end())
             )));
         }
-        // Write the store header.
-        let digest_chunks = Self::default_digest_chunks(slot_size);
-        let mut header = [0u8; HEADER_SIZE as usize];
-        header[0..8].copy_from_slice(&STORE_MAGIC.to_le_bytes());
-        header[8..12].copy_from_slice(&slots.to_le_bytes());
-        header[12..20].copy_from_slice(&slot_size.as_u64().to_le_bytes());
-        header[20..24].copy_from_slice(&flight_records.to_le_bytes());
-        header[24..28].copy_from_slice(&digest_chunks.to_le_bytes());
-        header[28..32].copy_from_slice(&max_namespaces.to_le_bytes());
-        // Bytes 32..36: the per-slot commit-state region exists (stores
-        // formatted before the lattice carry zeros here — feature off).
-        header[32..36].copy_from_slice(&1u32.to_le_bytes());
-        device.write_at(0, &header)?;
-        // Zero the CHECK_ADDR record (no committed checkpoint).
-        device.write_at(CHECK_ADDR_OFFSET, &[0u8; META_RECORD_SIZE as usize])?;
-        device.persist(0, SLOTS_OFFSET)?;
-        if max_namespaces > 0 {
-            // Zero the directory: every entry reads as unallocated.
-            let base = Self::ns_dir_base_static(slot_size, slots, flight_records, digest_chunks);
-            let zeros = vec![0u8; (NS_ENTRY_SIZE * u64::from(max_namespaces)) as usize];
-            device.write_at(base, &zeros)?;
-            device.persist(base, zeros.len() as u64)?;
-        }
+        device.write_at(0, &layout.encode())?;
+        device.persist(0, HEADER_SIZE)?;
+        // Zero the directory: every entry reads as unallocated.
+        let base = layout.ns_entry(0);
+        let zeros = vec![0u8; (NS_ENTRY_SIZE * u64::from(max_namespaces)) as usize];
+        device.write_at(base, &zeros)?;
+        device.persist(base, zeros.len() as u64)?;
         // Every slot starts with a valid durable Free state word.
-        let state_base = Self::slot_state_base_static(
-            slot_size,
-            slots,
-            flight_records,
-            digest_chunks,
-            max_namespaces,
-        );
-        let free_rec = SlotState::Free.encode();
-        let mut state_region = vec![0u8; (SLOT_STATE_SIZE * u64::from(slots)) as usize];
-        for s in 0..slots as usize {
-            state_region[s * SLOT_STATE_SIZE as usize..(s + 1) * SLOT_STATE_SIZE as usize]
-                .copy_from_slice(&free_rec);
-        }
-        device.write_at(state_base, &state_region)?;
-        device.persist(state_base, state_region.len() as u64)?;
+        let state_region = SlotState::Free.encode().repeat(slots as usize);
+        device.write_at(layout.slot_state(0), &state_region)?;
+        device.persist(layout.slot_state(0), state_region.len() as u64)?;
 
         let flight = if flight_records > 0 {
-            let base = Self::flight_base_static(slot_size, slots);
-            let ring = FlightRing::create(Arc::clone(&device), base, flight_records)
-                .map_err(PccheckError::InvalidConfig)?;
+            let ring =
+                FlightRing::create(Arc::clone(&device), layout.flight_base(), flight_records)
+                    .map_err(PccheckError::InvalidConfig)?;
             FlightRecorder::new(Arc::new(ring))
         } else {
             FlightRecorder::disabled()
         };
         flight.record_run(FlightEventKind::RunStart, 0);
 
-        let service = max_namespaces > 0;
         Ok(CheckpointStore {
             device,
-            slot_size,
-            num_slots: slots,
+            layout,
             global_counter: AtomicU64::new(1),
-            commit: CommitPointer::new(crate::meta::CHECK_ADDR_NONE, 0),
-            // Service mode: no store-wide pool — slots belong to
-            // namespaces. The queue stays empty forever.
-            free_slots: if service {
-                SlotQueue::with_capacity(1)
-            } else {
-                (0..slots).collect()
-            },
             slot_states: (0..slots)
                 .map(|_| AtomicU64::new(SlotState::Free.pack()))
                 .collect(),
-            state_words: true,
             flight,
-            flight_records,
-            digest_chunks,
-            max_namespaces,
             namespaces: RwLock::new(Vec::new()),
-            next_free_slot: AtomicU32::new(if service { 0 } else { slots }),
+            next_free_slot: AtomicU32::new(0),
         })
     }
 
     /// Reopens a store previously formatted on `device` (the recovery
-    /// path). Rebuilds the in-memory state: the committed checkpoint stays
-    /// leased; all other slots go back to the free queue; the global
-    /// counter resumes above the highest counter found.
+    /// path). Rebuilds each namespace independently: its committed
+    /// checkpoint (and delta chain) stays leased, all its other slots go
+    /// back to its free queue; the global counter resumes above the
+    /// highest counter found.
     ///
     /// # Errors
     ///
     /// Returns [`PccheckError::InvalidConfig`] if no valid store header is
     /// found, or a device error if reads fail.
     pub fn open(device: Arc<dyn PersistentDevice>) -> Result<Self, PccheckError> {
-        let mut header = [0u8; HEADER_SIZE as usize];
-        device.read_durable_at(0, &mut header)?;
-        let magic = u64::from_le_bytes(header[0..8].try_into().expect("slice len"));
-        if magic != STORE_MAGIC {
-            return Err(PccheckError::InvalidConfig(
-                "device holds no PCcheck store (bad magic)".into(),
-            ));
-        }
-        let slots = u32::from_le_bytes(header[8..12].try_into().expect("slice len"));
-        let slot_size =
-            ByteSize::from_bytes(u64::from_le_bytes(header[12..20].try_into().expect("len")));
-        let flight_records = u32::from_le_bytes(header[20..24].try_into().expect("slice len"));
-        // Stores formatted before the digest region existed carry zeros
-        // here: the feature reads as "off" and nothing else changes.
-        let digest_chunks = u32::from_le_bytes(header[24..28].try_into().expect("slice len"));
-        // Likewise for stores formatted before multi-tenancy existed.
-        let max_namespaces = u32::from_le_bytes(header[28..32].try_into().expect("slice len"));
-        // ... and for stores formatted before the commit-state lattice.
-        let state_words = u32::from_le_bytes(header[32..36].try_into().expect("slice len")) != 0;
+        let layout = Layout::read(device.as_ref())?;
 
         // Reattach the flight ring, resuming sequence numbers past the
         // crash survivors. A torn ring header downgrades to a disabled
         // recorder rather than failing recovery: forensics are
         // best-effort, the checkpoints are not.
-        let flight = if flight_records > 0 {
-            let base = Self::flight_base_static(slot_size, slots);
-            match FlightRing::open(Arc::clone(&device), base) {
+        let flight = if layout.flight_records > 0 {
+            match FlightRing::open(Arc::clone(&device), layout.flight_base()) {
                 Ok(ring) => FlightRecorder::new(Arc::new(ring)),
                 Err(_) => FlightRecorder::disabled(),
             }
@@ -591,125 +497,56 @@ impl CheckpointStore {
             FlightRecorder::disabled()
         };
 
-        if max_namespaces > 0 {
-            // Service mode: rebuild each namespace independently — its own
-            // committed checkpoint, pinned chain, and free range.
-            let dir_base =
-                Self::ns_dir_base_static(slot_size, slots, flight_records, digest_chunks);
-            let mut namespaces: Vec<Arc<Namespace>> = Vec::new();
-            let mut max_counter = 0u64;
-            let mut next_free_slot = 0u32;
-            let mut pinned_all: Vec<u32> = Vec::new();
-            let mut desc_buf = [0u8; NS_DESC_SIZE as usize];
-            for i in 0..max_namespaces {
-                let dir_offset = dir_base + u64::from(i) * NS_ENTRY_SIZE;
-                device.read_durable_at(dir_offset, &mut desc_buf)?;
-                let Some(desc) = NamespaceDesc::decode(&desc_buf) else {
-                    continue; // unallocated (or torn mid-allocate: no data yet)
-                };
-                if desc.slot_start + desc.slot_count > slots || desc.slot_count == 0 {
-                    continue; // corrupt descriptor: treat as unallocated
-                }
-                let range = desc.slot_start..desc.slot_start + desc.slot_count;
-                let committed = Self::find_committed_range(
-                    device.as_ref(),
-                    slot_size,
-                    range.clone(),
-                    dir_offset + NS_DESC_SIZE,
-                )?;
-                let pinned: Vec<u32> = committed
-                    .as_ref()
-                    .map(|m| {
-                        Self::chain_slots_static(
-                            device.as_ref(),
-                            slots,
-                            slot_size,
-                            m.slot,
-                            m.counter,
-                        )
-                    })
-                    .unwrap_or_default();
-                let free: Vec<u32> = range.clone().filter(|s| !pinned.contains(s)).collect();
-                let ns_counter = committed.as_ref().map_or(0, |m| m.counter);
-                max_counter = max_counter.max(ns_counter);
-                next_free_slot = next_free_slot.max(desc.slot_start + desc.slot_count);
-                let check_addr = committed
-                    .as_ref()
-                    .map(|m| PackedCheckAddr::pack(m.counter, m.slot))
-                    .unwrap_or(crate::meta::CHECK_ADDR_NONE);
-                pinned_all.extend_from_slice(&pinned);
-                namespaces.push(Arc::new(Namespace {
-                    desc,
-                    commit: CommitPointer::new(check_addr, ns_counter),
-                    free_slots: free.into_iter().collect(),
-                    dir_offset,
-                }));
-            }
-            let slot_states =
-                Self::initial_slot_states(device.as_ref(), slots, slot_size, &pinned_all)?;
-            return Ok(CheckpointStore {
-                device,
-                slot_size,
-                num_slots: slots,
-                global_counter: AtomicU64::new(max_counter + 1),
-                commit: CommitPointer::new(crate::meta::CHECK_ADDR_NONE, 0),
-                free_slots: SlotQueue::with_capacity(1),
-                slot_states,
-                state_words,
-                flight,
-                flight_records,
-                digest_chunks,
-                max_namespaces,
-                namespaces: RwLock::new(namespaces),
-                next_free_slot: AtomicU32::new(next_free_slot),
-            });
+        let mut namespaces: Vec<Arc<Namespace>> = Vec::new();
+        let mut max_counter = 0u64;
+        let mut next_free_slot = 0u32;
+        let mut pinned_all: Vec<u32> = Vec::new();
+        for i in 0..layout.max_namespaces {
+            let Some(desc) = layout.read_ns_desc(device.as_ref(), i)? else {
+                continue;
+            };
+            let dir_offset = layout.ns_entry(i);
+            // Find the committed checkpoint: trust the namespace's
+            // CHECK_ADDR, fall back to a slot scan if the record is torn
+            // or its payload fails validation. The committed checkpoint's
+            // slot stays leased — and if it is a delta, so does every
+            // slot on its chain down to the full root: recycling any of
+            // them would make the committed state unrecoverable.
+            let committed = Self::find_committed_range(
+                device.as_ref(),
+                &layout,
+                desc.slot_range(),
+                dir_offset + NS_DESC_SIZE,
+            )?;
+            let pinned: Vec<u32> = committed
+                .as_ref()
+                .map(|m| Self::chain_slots_static(device.as_ref(), &layout, m.slot, m.counter))
+                .unwrap_or_default();
+            let free: Vec<u32> = desc.slot_range().filter(|s| !pinned.contains(s)).collect();
+            let ns_counter = committed.as_ref().map_or(0, |m| m.counter);
+            max_counter = max_counter.max(ns_counter);
+            next_free_slot = next_free_slot.max(desc.slot_start + desc.slot_count);
+            let check_addr = committed
+                .as_ref()
+                .map(|m| PackedCheckAddr::pack(m.counter, m.slot))
+                .unwrap_or(crate::meta::CHECK_ADDR_NONE);
+            pinned_all.extend_from_slice(&pinned);
+            namespaces.push(Arc::new(Namespace {
+                desc,
+                commit: CommitPointer::new(check_addr, ns_counter),
+                free_slots: free.into_iter().collect(),
+                dir_offset,
+            }));
         }
-
-        // Find the committed checkpoint: trust CHECK_ADDR, fall back to a
-        // slot scan if the record is torn or its payload fails validation.
-        let committed =
-            Self::find_committed_range(device.as_ref(), slot_size, 0..slots, CHECK_ADDR_OFFSET)?;
-
-        // The committed checkpoint's slot stays leased — and if it is a
-        // delta, so does every slot on its chain down to the full root:
-        // recycling any of them would make the committed state
-        // unrecoverable.
-        let pinned: Vec<u32> = committed
-            .as_ref()
-            .map(|m| Self::chain_slots_static(device.as_ref(), slots, slot_size, m.slot, m.counter))
-            .unwrap_or_default();
-        let mut max_counter = 0;
-        let mut free: Vec<u32> = Vec::new();
-        for s in 0..slots {
-            if !pinned.contains(&s) {
-                free.push(s);
-            }
-        }
-        if let Some(m) = &committed {
-            max_counter = m.counter;
-        }
-
-        let check_addr = committed
-            .as_ref()
-            .map(|m| PackedCheckAddr::pack(m.counter, m.slot))
-            .unwrap_or(crate::meta::CHECK_ADDR_NONE);
-
-        let slot_states = Self::initial_slot_states(device.as_ref(), slots, slot_size, &pinned)?;
+        let slot_states = Self::initial_slot_states(device.as_ref(), &layout, &pinned_all)?;
         Ok(CheckpointStore {
             device,
-            slot_size,
-            num_slots: slots,
+            layout,
             global_counter: AtomicU64::new(max_counter + 1),
-            commit: CommitPointer::new(check_addr, max_counter),
-            free_slots: free.into_iter().collect(),
             slot_states,
-            state_words,
             flight,
-            flight_records,
-            digest_chunks,
-            max_namespaces: 0,
-            namespaces: RwLock::new(Vec::new()),
-            next_free_slot: AtomicU32::new(slots),
+            namespaces: RwLock::new(namespaces),
+            next_free_slot: AtomicU32::new(next_free_slot),
         })
     }
 
@@ -718,7 +555,7 @@ impl CheckpointStore {
     /// range's slots if the record is torn or fails validation.
     fn find_committed_range(
         device: &dyn PersistentDevice,
-        slot_size: ByteSize,
+        layout: &Layout,
         range: std::ops::Range<u32>,
         check_rec_offset: u64,
     ) -> Result<Option<CheckMeta>, PccheckError> {
@@ -726,7 +563,7 @@ impl CheckpointStore {
         device.read_durable_at(check_rec_offset, &mut rec)?;
         let mut best: Option<CheckMeta> = None;
         if let Some(meta) = CheckMeta::decode(&rec) {
-            if Self::validate_slot(device, &meta, range.clone(), slot_size)? {
+            if Self::validate_slot(device, layout, &meta, range.clone())? {
                 best = Some(meta);
             }
         }
@@ -738,12 +575,11 @@ impl CheckpointStore {
         // CHECK_ADDR (commit persists CHECK_ADDR before freeing the
         // displaced slot), so taking the max counter is safe.
         for s in range.clone() {
-            let off = Self::slot_meta_offset_static(s, slot_size);
-            device.read_durable_at(off, &mut rec)?;
+            device.read_durable_at(layout.slot_meta(s), &mut rec)?;
             if let Some(meta) = CheckMeta::decode(&rec) {
                 if meta.slot == s
-                    && Self::validate_slot(device, &meta, range.clone(), slot_size)?
-                    && best.map_or(true, |b| meta.counter > b.counter)
+                    && Self::validate_slot(device, layout, &meta, range.clone())?
+                    && best.is_none_or(|b| meta.counter > b.counter)
                 {
                     best = Some(meta);
                 }
@@ -754,24 +590,18 @@ impl CheckpointStore {
 
     fn validate_slot(
         device: &dyn PersistentDevice,
+        layout: &Layout,
         meta: &CheckMeta,
         range: std::ops::Range<u32>,
-        slot_size: ByteSize,
     ) -> Result<bool, PccheckError> {
-        if !range.contains(&meta.slot) || ByteSize::from_bytes(meta.payload_len) > slot_size {
+        if !range.contains(&meta.slot) || ByteSize::from_bytes(meta.payload_len) > layout.slot_size
+        {
             return Ok(false);
         }
         // Check the slot's own meta record matches the commit record.
         let mut rec = [0u8; META_RECORD_SIZE as usize];
-        device.read_durable_at(
-            Self::slot_meta_offset_static(meta.slot, slot_size),
-            &mut rec,
-        )?;
+        device.read_durable_at(layout.slot_meta(meta.slot), &mut rec)?;
         Ok(CheckMeta::decode(&rec).as_ref() == Some(meta))
-    }
-
-    fn slot_meta_offset_static(slot: u32, slot_size: ByteSize) -> u64 {
-        SLOTS_OFFSET + u64::from(slot) * (META_RECORD_SIZE + slot_size.as_u64())
     }
 
     /// The slots a checkpoint occupies: its own, plus — when it is a delta
@@ -781,8 +611,7 @@ impl CheckpointStore {
     /// guards against pointer cycles; the head slot is always included.
     fn chain_slots_static(
         device: &dyn PersistentDevice,
-        slots: u32,
-        slot_size: ByteSize,
+        layout: &Layout,
         head_slot: u32,
         head_counter: u64,
     ) -> Vec<u32> {
@@ -792,7 +621,7 @@ impl CheckpointStore {
         loop {
             let (s, c) = expect;
             if device
-                .read_durable_at(Self::slot_meta_offset_static(s, slot_size), &mut rec)
+                .read_durable_at(layout.slot_meta(s), &mut rec)
                 .is_err()
             {
                 break;
@@ -806,7 +635,7 @@ impl CheckpointStore {
             let Some(link) = meta.delta else {
                 break;
             };
-            if chain.contains(&link.base_slot) || chain.len() as u32 >= slots {
+            if chain.contains(&link.base_slot) || chain.len() as u32 >= layout.slots {
                 break;
             }
             chain.push(link.base_slot);
@@ -821,15 +650,14 @@ impl CheckpointStore {
     /// chain slot starts Committed at its own durable meta counter.
     fn initial_slot_states(
         device: &dyn PersistentDevice,
-        slots: u32,
-        slot_size: ByteSize,
+        layout: &Layout,
         pinned: &[u32],
     ) -> Result<Vec<AtomicU64>, PccheckError> {
-        let mut states = Vec::with_capacity(slots as usize);
+        let mut states = Vec::with_capacity(layout.slots as usize);
         let mut rec = [0u8; META_RECORD_SIZE as usize];
-        for s in 0..slots {
+        for s in 0..layout.slots {
             let state = if pinned.contains(&s) {
-                device.read_durable_at(Self::slot_meta_offset_static(s, slot_size), &mut rec)?;
+                device.read_durable_at(layout.slot_meta(s), &mut rec)?;
                 CheckMeta::decode(&rec)
                     .filter(|m| m.slot == s)
                     .map_or(SlotState::Free, |m| SlotState::Committed {
@@ -844,13 +672,7 @@ impl CheckpointStore {
     }
 
     fn chain_slots(&self, head_slot: u32, head_counter: u64) -> Vec<u32> {
-        Self::chain_slots_static(
-            self.device.as_ref(),
-            self.num_slots,
-            self.slot_size,
-            head_slot,
-            head_counter,
-        )
+        Self::chain_slots_static(self.device.as_ref(), &self.layout, head_slot, head_counter)
     }
 
     /// The underlying device.
@@ -868,17 +690,17 @@ impl CheckpointStore {
 
     /// Per-slot payload capacity.
     pub fn slot_size(&self) -> ByteSize {
-        self.slot_size
+        self.layout.slot_size
     }
 
-    /// Number of slots (`N+1`).
+    /// Number of slots (`N+1` for a [`format`](Self::format)ted store).
     pub fn num_slots(&self) -> u32 {
-        self.num_slots
+        self.layout.slots
     }
 
     /// Device offset of `slot`'s meta record.
     pub fn slot_meta_offset(&self, slot: u32) -> u64 {
-        Self::slot_meta_offset_static(slot, self.slot_size)
+        self.layout.slot_meta(slot)
     }
 
     /// Device offset of `slot`'s payload.
@@ -886,27 +708,20 @@ impl CheckpointStore {
         self.slot_meta_offset(slot) + META_RECORD_SIZE
     }
 
-    /// Per-slot digest-table capacity in chunk digests (0 = the store has
-    /// no digest region).
+    /// Per-slot digest-table capacity in chunk digests.
     pub fn digest_chunks(&self) -> u32 {
-        self.digest_chunks
+        self.layout.digest_chunks
     }
 
-    /// Device offset of `slot`'s per-chunk digest table, or `None` when
-    /// the store has no digest region.
-    pub fn slot_digest_offset(&self, slot: u32) -> Option<u64> {
-        if self.digest_chunks == 0 {
-            return None;
-        }
-        let base = Self::digest_base_static(self.slot_size, self.num_slots, self.flight_records);
-        let stride = ChunkDigestTable::encoded_len_for(self.digest_chunks as usize);
-        Some(base + u64::from(slot) * stride)
+    /// Device offset of `slot`'s per-chunk digest table.
+    pub fn slot_digest_offset(&self, slot: u32) -> u64 {
+        self.layout.slot_digest(slot)
     }
 
     /// Writes and persists `slot`'s per-chunk digest table. Returns
-    /// `Ok(false)` without touching the device when the store has no
-    /// digest region or the table exceeds the per-slot capacity — the
-    /// table is advisory, so skipping it is never an error.
+    /// `Ok(false)` without touching the device when the table exceeds the
+    /// per-slot capacity — the table is advisory, so skipping it is never
+    /// an error.
     ///
     /// # Errors
     ///
@@ -916,12 +731,10 @@ impl CheckpointStore {
         slot: u32,
         table: &ChunkDigestTable,
     ) -> Result<bool, PccheckError> {
-        let Some(off) = self.slot_digest_offset(slot) else {
-            return Ok(false);
-        };
-        if table.digests.len() > self.digest_chunks as usize {
+        if table.digests.len() > self.layout.digest_chunks as usize {
             return Ok(false);
         }
+        let off = self.slot_digest_offset(slot);
         let bytes = table.encode();
         self.device.write_at(off, &bytes)?;
         self.device.persist(off, bytes.len() as u64)?;
@@ -932,12 +745,12 @@ impl CheckpointStore {
     /// `meta`, returning it only if it decodes *and* is bound to exactly
     /// this commit (matching counter, payload digest, and payload length).
     /// Any mismatch — including a torn or recycled table — yields `None`,
-    /// which callers treat as "verify the legacy way".
+    /// which callers treat as "verify the whole payload".
     pub fn read_digest_table(&self, meta: &CheckMeta) -> Option<ChunkDigestTable> {
-        let off = self.slot_digest_offset(meta.slot)?;
-        let stride = ChunkDigestTable::encoded_len_for(self.digest_chunks as usize);
-        let mut buf = vec![0u8; stride as usize];
-        self.device.read_durable_at(off, &mut buf).ok()?;
+        let mut buf = vec![0u8; self.layout.digest_stride() as usize];
+        self.device
+            .read_durable_at(self.slot_digest_offset(meta.slot), &mut buf)
+            .ok()?;
         let table = ChunkDigestTable::decode(&buf).ok()?;
         (table.counter == meta.counter
             && table.payload_digest == meta.digest
@@ -945,42 +758,34 @@ impl CheckpointStore {
             .then_some(table)
     }
 
-    /// The in-memory view of the latest committed checkpoint. On a
-    /// multi-tenant store this is the newest commit across *all*
-    /// namespaces (diagnostics; per-job code wants
-    /// [`latest_committed_job`](Self::latest_committed_job)).
+    /// The in-memory view of the newest committed checkpoint across every
+    /// namespace — on a [`format`](Self::format)ted store, the owner
+    /// namespace's head; on a multi-tenant store a diagnostic (per-job
+    /// code wants [`latest_committed_job`](Self::latest_committed_job)).
     pub fn latest_committed(&self) -> Option<CheckMeta> {
-        if self.max_namespaces > 0 {
-            return self
-                .namespaces
-                .read()
-                .iter()
-                .filter_map(|ns| self.resolve_check_addr(&ns.commit.addr))
-                .max_by_key(|m| m.counter);
-        }
-        self.resolve_check_addr(&self.commit.addr)
+        self.namespaces
+            .read()
+            .iter()
+            .filter_map(|ns| self.resolve_check_addr(&ns.commit.addr))
+            .max_by_key(|m| m.counter)
     }
 
     /// The latest committed checkpoint in `job`'s namespace.
     ///
     /// # Errors
     ///
-    /// Returns [`PccheckError::InvalidConfig`] when the store is not
-    /// multi-tenant or `job` has no namespace.
+    /// Returns [`PccheckError::InvalidConfig`] when `job` has no
+    /// namespace.
     pub fn latest_committed_job(&self, job: JobId) -> Result<Option<CheckMeta>, PccheckError> {
-        let ns = self.namespace_for(job)?;
+        let ns = self.namespace_for(Some(job))?;
         Ok(self.resolve_check_addr(&ns.commit.addr))
     }
 
-    /// The latest committed checkpoint visible to `lease` — the lease's
-    /// namespace on a multi-tenant store, the global pointer otherwise.
-    /// This is what delta planning must use as its base: another job's
-    /// newer commit is not a valid delta base for this job.
+    /// The latest committed checkpoint in `lease`'s namespace. This is
+    /// what delta planning must use as its base: another job's newer
+    /// commit is not a valid delta base for this job.
     pub fn latest_committed_for(&self, lease: &SlotLease) -> Option<CheckMeta> {
-        match lease.ns.as_deref() {
-            Some(ns) => self.resolve_check_addr(&ns.commit.addr),
-            None => self.resolve_check_addr(&self.commit.addr),
-        }
+        self.resolve_check_addr(&lease.ns.commit.addr)
     }
 
     /// The current in-memory commit-state word of `slot` (diagnostics;
@@ -996,11 +801,10 @@ impl CheckpointStore {
     /// The dequeue grants exclusive ownership and every release path
     /// stores Free *before* enqueueing, so the CAS cannot lose — its
     /// strictness is a protocol assertion, not a spin. The durable
-    /// publish is best-effort: `begin_checkpoint` stays infallible, and a
-    /// lost claim word only downgrades the slot's post-crash
-    /// classification from Claimed to meta-CRC-only (still decidable; a
-    /// device sick enough to fail here fails the very next payload write
-    /// anyway).
+    /// publish is best-effort: a lost claim word only downgrades the
+    /// slot's post-crash classification from Claimed to meta-CRC-only
+    /// (still decidable; a device sick enough to fail here fails the very
+    /// next payload write anyway).
     fn claim_slot(&self, slot: u32, counter: u64) {
         let claimed = SlotState::Claimed { counter };
         let won = self.slot_states[slot as usize]
@@ -1016,12 +820,11 @@ impl CheckpointStore {
             // Defensive: ownership is ours either way; converge the word.
             self.slot_states[slot as usize].store(claimed.pack(), Ordering::Release);
         }
-        if let Some(off) = self.slot_state_offset(slot) {
-            let _ = self
-                .device
-                .write_at(off, &claimed.encode())
-                .and_then(|()| self.device.persist(off, SLOT_STATE_SIZE));
-        }
+        let off = self.slot_state_offset(slot);
+        let _ = self
+            .device
+            .write_at(off, &claimed.encode())
+            .and_then(|()| self.device.persist(off, SLOT_STATE_SIZE));
     }
 
     /// Publishes the durable Committed word for a commit winner. Failure
@@ -1034,13 +837,11 @@ impl CheckpointStore {
     /// ([`await_published`](Self::await_published)) before recycling, so
     /// this write can never land over the next claimant's Claimed word.
     fn publish_slot_state(&self, slot: u32, state: SlotState) -> Result<(), PccheckError> {
-        let durable = match self.slot_state_offset(slot) {
-            Some(off) => self
-                .device
-                .write_at(off, &state.encode())
-                .and_then(|()| self.device.persist(off, SLOT_STATE_SIZE)),
-            None => Ok(()),
-        };
+        let off = self.slot_state_offset(slot);
+        let durable = self
+            .device
+            .write_at(off, &state.encode())
+            .and_then(|()| self.device.persist(off, SLOT_STATE_SIZE));
         self.slot_states[slot as usize].store(state.pack(), Ordering::Release);
         Ok(durable?)
     }
@@ -1083,52 +884,26 @@ impl CheckpointStore {
         CheckMeta::decode(&rec).filter(|m| m.counter == packed.counter())
     }
 
-    /// Begins a checkpoint: samples `CHECK_ADDR`, takes a counter, and
-    /// dequeues a free slot (Listing 1, lines 3–11). Spins while all slots
-    /// are occupied by in-flight checkpoints.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a multi-tenant (service-mode) store: every checkpoint
-    /// there belongs to a job — use
-    /// [`begin_checkpoint_job`](Self::begin_checkpoint_job).
-    pub fn begin_checkpoint(&self) -> SlotLease {
-        assert!(
-            self.max_namespaces == 0,
-            "begin_checkpoint on a multi-tenant store: use begin_checkpoint_job(job)"
-        );
-        // Line 3: sample the last committed checkpoint *before* taking the
-        // counter — this makes our eventual CAS legal (§4.1).
-        let last_check = PackedCheckAddr(self.commit.addr.load(Ordering::Acquire));
-        // Line 5: order ourselves among all checkpoints.
-        let counter = self.global_counter.fetch_add(1, Ordering::AcqRel);
-        // Lines 8-11: find space, then take the lattice claim step.
-        let slot = self.free_slots.dequeue_blocking();
-        self.claim_slot(slot, counter);
-        self.flight
-            .record(FlightEventKind::Begin, counter, slot, 0, 0, last_check.0);
-        SlotLease {
-            counter,
-            slot,
-            last_check,
-            ns: None,
-        }
-    }
-
-    /// Begins a checkpoint in `job`'s namespace. The commit protocol is
-    /// Listing 1 verbatim, except that `CHECK_ADDR` and the free-slot
-    /// queue are the *namespace's* — jobs contend only on the global
-    /// counter (which stays globally unique and monotone, so cross-job
-    /// interleavings remain totally ordered in the flight ring).
+    /// Begins a checkpoint in `job`'s namespace (`None` = the owner
+    /// namespace): samples the namespace's `CHECK_ADDR`, takes a counter,
+    /// and dequeues a free slot (Listing 1, lines 3–11). Spins while all
+    /// of the namespace's slots are occupied by in-flight checkpoints.
+    /// Jobs contend only on the global counter, which stays globally
+    /// unique and monotone, so cross-job interleavings remain totally
+    /// ordered in the flight ring.
     ///
     /// # Errors
     ///
-    /// Returns [`PccheckError::InvalidConfig`] when the store is not
-    /// multi-tenant or `job` has no namespace.
-    pub fn begin_checkpoint_job(&self, job: JobId) -> Result<SlotLease, PccheckError> {
+    /// Returns [`PccheckError::InvalidConfig`] when `job` has no
+    /// namespace.
+    pub fn begin_checkpoint(&self, job: Option<JobId>) -> Result<SlotLease, PccheckError> {
         let ns = self.namespace_for(job)?;
+        // Line 3: sample the last committed checkpoint *before* taking the
+        // counter — this makes our eventual CAS legal (§4.1).
         let last_check = PackedCheckAddr(ns.commit.addr.load(Ordering::Acquire));
+        // Line 5: order ourselves among all checkpoints.
         let counter = self.global_counter.fetch_add(1, Ordering::AcqRel);
+        // Lines 8-11: find space, then take the lattice claim step.
         let slot = ns.free_slots.dequeue_blocking();
         self.claim_slot(slot, counter);
         self.flight
@@ -1137,17 +912,13 @@ impl CheckpointStore {
             counter,
             slot,
             last_check,
-            ns: Some(ns),
+            ns,
         })
     }
 
-    /// Looks up `job`'s namespace handle.
-    fn namespace_for(&self, job: JobId) -> Result<Arc<Namespace>, PccheckError> {
-        if self.max_namespaces == 0 {
-            return Err(PccheckError::InvalidConfig(
-                "store is not multi-tenant (formatted without namespaces)".into(),
-            ));
-        }
+    /// Looks up `job`'s namespace handle (`None` = the owner namespace).
+    fn namespace_for(&self, job: Option<JobId>) -> Result<Arc<Namespace>, PccheckError> {
+        let job = job.unwrap_or(OWNER_JOB);
         self.namespaces
             .read()
             .iter()
@@ -1166,20 +937,15 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// Returns [`PccheckError::InvalidConfig`] when the store is not
-    /// multi-tenant, `slot_count < 2` (N+1 needs at least 1+1),
-    /// `job` already owns a namespace, the directory is full, or the slot
-    /// budget is exhausted; propagates device errors.
+    /// Returns [`PccheckError::InvalidConfig`] when `slot_count < 2`
+    /// (N+1 needs at least 1+1), `job` already owns a namespace, the
+    /// directory is full, or the slot budget is exhausted; propagates
+    /// device errors.
     pub fn allocate_namespace(
         &self,
         job: JobId,
         slot_count: u32,
     ) -> Result<NamespaceDesc, PccheckError> {
-        if self.max_namespaces == 0 {
-            return Err(PccheckError::InvalidConfig(
-                "store is not multi-tenant (formatted without namespaces)".into(),
-            ));
-        }
         if slot_count < 2 {
             return Err(PccheckError::InvalidConfig(format!(
                 "namespace needs at least 2 slots (N+1 with N >= 1), got {slot_count}"
@@ -1191,19 +957,19 @@ impl CheckpointStore {
                 "job {job} already owns a namespace"
             )));
         }
-        if namespaces.len() as u32 >= self.max_namespaces {
+        if namespaces.len() as u32 >= self.layout.max_namespaces {
             return Err(PccheckError::InvalidConfig(format!(
                 "namespace directory full ({} of {})",
                 namespaces.len(),
-                self.max_namespaces
+                self.layout.max_namespaces
             )));
         }
         let slot_start = self.next_free_slot.load(Ordering::Acquire);
-        if slot_start + slot_count > self.num_slots {
+        if slot_start + slot_count > self.layout.slots {
             return Err(PccheckError::InvalidConfig(format!(
                 "slot budget exhausted: {slot_count} requested, {} of {} remain",
-                self.num_slots - slot_start,
-                self.num_slots
+                self.layout.slots - slot_start,
+                self.layout.slots
             )));
         }
         let desc = NamespaceDesc {
@@ -1215,7 +981,7 @@ impl CheckpointStore {
         // before exposing the namespace: a crash mid-allocate leaves either
         // no entry (decode fails on the torn descriptor) or a complete,
         // empty namespace — never a half-initialized one.
-        let dir_offset = self.ns_dir_base() + namespaces.len() as u64 * NS_ENTRY_SIZE;
+        let dir_offset = self.layout.ns_entry(namespaces.len() as u32);
         let mut entry = [0u8; NS_ENTRY_SIZE as usize];
         entry[..NS_DESC_SIZE as usize].copy_from_slice(&desc.encode());
         self.device.write_at(dir_offset, &entry)?;
@@ -1225,7 +991,7 @@ impl CheckpointStore {
         namespaces.push(Arc::new(Namespace {
             desc,
             commit: CommitPointer::new(crate::meta::CHECK_ADDR_NONE, 0),
-            free_slots: (slot_start..slot_start + slot_count).collect(),
+            free_slots: desc.slot_range().collect(),
             dir_offset,
         }));
         Ok(desc)
@@ -1244,11 +1010,11 @@ impl CheckpointStore {
         chunk_offset: u64,
         data: &[u8],
     ) -> Result<(), PccheckError> {
-        if chunk_offset + data.len() as u64 > self.slot_size.as_u64() {
+        if chunk_offset + data.len() as u64 > self.layout.slot_size.as_u64() {
             return Err(PccheckError::InvalidConfig(format!(
                 "payload write at {chunk_offset}+{} exceeds slot size {}",
                 data.len(),
-                self.slot_size
+                self.layout.slot_size
             )));
         }
         let base = self.slot_payload_offset(lease.slot);
@@ -1342,18 +1108,19 @@ impl CheckpointStore {
             digest,
         );
 
-        // Namespace routing: a job lease CASes its namespace's CHECK_ADDR
-        // and recycles into its namespace's free queue; the protocol itself
-        // is unchanged.
-        let ns = lease.ns.as_deref();
-        let check_addr = ns.map_or(&self.commit.addr, |n| &n.commit.addr);
-        let free_slots = ns.map_or(&self.free_slots, |n| &n.free_slots);
-
+        // The lease CASes its namespace's CHECK_ADDR and recycles into its
+        // namespace's free queue.
+        let ns = &lease.ns;
         let ours = PackedCheckAddr::pack(lease.counter, lease.slot);
         let mut last = lease.last_check;
         // Lines 19-34: the CAS loop.
         loop {
-            match check_addr.compare_exchange(last.0, ours.0, Ordering::AcqRel, Ordering::Acquire) {
+            match ns.commit.addr.compare_exchange(
+                last.0,
+                ours.0,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
                 Ok(_) => {
                     // Success: publish the Committed state word (the meta
                     // record is already durable, so the lattice ordering
@@ -1377,7 +1144,7 @@ impl CheckpointStore {
                         for displaced in self.chain_slots(last.slot(), last.counter()) {
                             if !pinned.contains(&displaced) {
                                 self.await_published(displaced);
-                                self.release_slot(free_slots, displaced);
+                                self.release_slot(&ns.free_slots, displaced);
                             }
                         }
                     }
@@ -1405,7 +1172,7 @@ impl CheckpointStore {
                         payload_len,
                         current.counter(),
                     );
-                    self.release_slot(free_slots, lease.slot);
+                    self.release_slot(&ns.free_slots, lease.slot);
                     return Ok(CommitOutcome::SupersededBy {
                         counter: current.counter(),
                     });
@@ -1418,8 +1185,8 @@ impl CheckpointStore {
     /// CHECK_ADDR), lock-free: persists the *current* value of the
     /// pointer, skipping the device round-trip entirely when the
     /// `fetch_max` watermark shows an equal-or-newer record is already
-    /// durable. With a namespace, the pointer, watermark, and record
-    /// offset are all the namespace's own.
+    /// durable. The pointer, watermark, and record offset are all the
+    /// namespace's own.
     ///
     /// Racing publishers may interleave so that an older record lands
     /// *after* a newer one — harmless, because (a) the newer commit's
@@ -1431,11 +1198,8 @@ impl CheckpointStore {
     /// the watermark — exactly one witness per counter, though a late
     /// witness may appear after a newer one (the auditor tolerates the
     /// inversion while the checkpoint's window is still open).
-    fn publish_check_addr(&self, ns: Option<&Namespace>) -> Result<(), PccheckError> {
-        let (commit, rec_offset) = match ns {
-            Some(n) => (&n.commit, n.check_rec_offset()),
-            None => (&self.commit, CHECK_ADDR_OFFSET),
-        };
+    fn publish_check_addr(&self, ns: &Namespace) -> Result<(), PccheckError> {
+        let (commit, rec_offset) = (&ns.commit, ns.check_rec_offset());
         loop {
             let current = PackedCheckAddr(commit.addr.load(Ordering::Acquire));
             if current.counter() <= commit.persisted.load(Ordering::Acquire) {
@@ -1470,40 +1234,31 @@ impl CheckpointStore {
         }
     }
 
-    /// Number of slots currently in the free queue (diagnostics). On a
-    /// multi-tenant store, the sum across namespaces (unallocated slots
-    /// are not counted — they belong to no queue yet).
+    /// Number of slots currently in free queues (diagnostics): the sum
+    /// across namespaces (unallocated slots are not counted — they belong
+    /// to no queue yet).
     pub fn free_slot_count(&self) -> usize {
-        if self.max_namespaces > 0 {
-            return self
-                .namespaces
-                .read()
-                .iter()
-                .map(|ns| ns.free_slots.len())
-                .sum();
-        }
-        self.free_slots.len()
+        self.namespaces
+            .read()
+            .iter()
+            .map(|ns| ns.free_slots.len())
+            .sum()
     }
 
     /// Number of free slots in `job`'s namespace.
     ///
     /// # Errors
     ///
-    /// Returns [`PccheckError::InvalidConfig`] when the store is not
-    /// multi-tenant or `job` has no namespace.
+    /// Returns [`PccheckError::InvalidConfig`] when `job` has no
+    /// namespace.
     pub fn free_slot_count_job(&self, job: JobId) -> Result<usize, PccheckError> {
-        Ok(self.namespace_for(job)?.free_slots.len())
+        Ok(self.namespace_for(Some(job))?.free_slots.len())
     }
 
-    /// Whether this store was formatted for multi-tenant (service-mode)
-    /// operation.
-    pub fn is_multi_tenant(&self) -> bool {
-        self.max_namespaces > 0
-    }
-
-    /// Namespace directory capacity (0 on a single-tenant store).
+    /// Namespace directory capacity (1 on a [`format`](Self::format)ted
+    /// store).
     pub fn max_namespaces(&self) -> u32 {
-        self.max_namespaces
+        self.layout.max_namespaces
     }
 
     /// Snapshot of the allocated namespace descriptors, in allocation
@@ -1513,23 +1268,20 @@ impl CheckpointStore {
     }
 
     /// The job whose namespace owns `slot`, or `None` for unallocated
-    /// slots / single-tenant stores.
+    /// slots.
     pub fn namespace_of_slot(&self, slot: u32) -> Option<JobId> {
         self.namespaces
             .read()
             .iter()
-            .find(|ns| ns.slot_range().contains(&slot))
+            .find(|ns| ns.desc.slot_range().contains(&slot))
             .map(|ns| ns.desc.job)
     }
 
     /// Slots not yet carved into any namespace (the admission budget
-    /// remaining). Equals `num_slots` minus allocated ranges; 0 on a
-    /// single-tenant store.
+    /// remaining): `num_slots` minus allocated ranges, so 0 on a
+    /// [`format`](Self::format)ted store.
     pub fn unallocated_slots(&self) -> u32 {
-        if self.max_namespaces == 0 {
-            return 0;
-        }
-        self.num_slots - self.next_free_slot.load(Ordering::Acquire)
+        self.layout.slots - self.next_free_slot.load(Ordering::Acquire)
     }
 
     /// Every slot currently holding a *complete* checkpoint (valid durable
@@ -1544,7 +1296,7 @@ impl CheckpointStore {
     pub fn history(&self) -> Result<Vec<CheckMeta>, PccheckError> {
         let mut found = Vec::new();
         let mut rec = [0u8; META_RECORD_SIZE as usize];
-        for slot in 0..self.num_slots {
+        for slot in 0..self.layout.slots {
             self.device
                 .read_durable_at(self.slot_meta_offset(slot), &mut rec)?;
             if let Some(meta) = CheckMeta::decode(&rec) {
@@ -1602,23 +1354,18 @@ pub struct RawStoreView {
     pub slot_size: ByteSize,
     /// Flight-ring capacity in records (0 = no ring).
     pub flight_records: u32,
-    /// Namespace directory capacity (0 = single-tenant store).
+    /// Namespace directory capacity (1 on a `format`ted store).
     pub max_namespaces: u32,
-    /// The durable `CHECK_ADDR` record, if it decodes.
-    pub check_addr: Option<CheckMeta>,
     /// Each slot's durable meta record, if it decodes and names its own
     /// slot (`slot_meta[s]` is `None` for empty/torn/mis-slotted records).
     pub slot_meta: Vec<Option<CheckMeta>>,
-    /// Whether the store carries the durable per-slot state region
-    /// (header flag; `false` on stores formatted before the lattice).
-    pub state_words: bool,
-    /// Each slot's durable commit-state word, if the region exists and
-    /// the record decodes (`None` = torn/absent → the decision procedure
-    /// falls back to the meta CRC alone).
+    /// Each slot's durable commit-state word, if the record decodes
+    /// (`None` = torn → the decision procedure falls back to the meta CRC
+    /// alone).
     pub slot_state: Vec<Option<SlotState>>,
-    /// Allocated namespaces, in directory order (empty on single-tenant
-    /// stores).
+    /// Allocated namespaces, in directory order.
     pub namespaces: Vec<RawNamespace>,
+    layout: Layout,
 }
 
 /// The post-crash classification of one slot, decided from its durable
@@ -1649,8 +1396,8 @@ pub enum SlotOutcome {
         /// Counter of the committed checkpoint.
         counter: u64,
     },
-    /// A valid meta record with no live claim on the word (Free, torn, or
-    /// pre-lattice store): an intact checkpoint from a past slot life.
+    /// A valid meta record with no live claim on the word (Free or torn):
+    /// an intact checkpoint from a past slot life.
     Historical {
         /// Counter from the slot's meta record.
         counter: u64,
@@ -1702,89 +1449,40 @@ impl RawStoreView {
     /// Returns [`PccheckError::InvalidConfig`] if no valid store header is
     /// found; propagates device read errors.
     pub fn load(device: &dyn PersistentDevice) -> Result<RawStoreView, PccheckError> {
-        let mut header = [0u8; HEADER_SIZE as usize];
-        device.read_durable_at(0, &mut header)?;
-        let magic = u64::from_le_bytes(header[0..8].try_into().expect("slice len"));
-        if magic != STORE_MAGIC {
-            return Err(PccheckError::InvalidConfig(
-                "device holds no PCcheck store (bad magic)".into(),
-            ));
-        }
-        let slots = u32::from_le_bytes(header[8..12].try_into().expect("slice len"));
-        let slot_size =
-            ByteSize::from_bytes(u64::from_le_bytes(header[12..20].try_into().expect("len")));
-        let flight_records = u32::from_le_bytes(header[20..24].try_into().expect("slice len"));
-        let digest_chunks = u32::from_le_bytes(header[24..28].try_into().expect("slice len"));
-        let max_namespaces = u32::from_le_bytes(header[28..32].try_into().expect("slice len"));
-        let state_words = u32::from_le_bytes(header[32..36].try_into().expect("slice len")) != 0;
-
+        let layout = Layout::read(device)?;
         let mut rec = [0u8; META_RECORD_SIZE as usize];
-        device.read_durable_at(CHECK_ADDR_OFFSET, &mut rec)?;
-        let check_addr = CheckMeta::decode(&rec).filter(|m| m.slot < slots);
-
-        let mut slot_meta = Vec::with_capacity(slots as usize);
-        for s in 0..slots {
-            device.read_durable_at(
-                CheckpointStore::slot_meta_offset_static(s, slot_size),
-                &mut rec,
-            )?;
-            slot_meta.push(
-                CheckMeta::decode(&rec)
-                    .filter(|m| m.slot == s && ByteSize::from_bytes(m.payload_len) <= slot_size),
-            );
-        }
-
-        let mut slot_state = vec![None; slots as usize];
-        if state_words {
-            let state_base = CheckpointStore::slot_state_base_static(
-                slot_size,
-                slots,
-                flight_records,
-                digest_chunks,
-                max_namespaces,
-            );
-            let mut state_rec = [0u8; SLOT_STATE_SIZE as usize];
-            for (s, cell) in slot_state.iter_mut().enumerate() {
-                device.read_durable_at(state_base + s as u64 * SLOT_STATE_SIZE, &mut state_rec)?;
-                *cell = SlotState::decode(&state_rec);
-            }
+        let mut slot_meta = Vec::with_capacity(layout.slots as usize);
+        let mut slot_state = Vec::with_capacity(layout.slots as usize);
+        let mut state_rec = [0u8; SLOT_STATE_SIZE as usize];
+        for s in 0..layout.slots {
+            device.read_durable_at(layout.slot_meta(s), &mut rec)?;
+            slot_meta.push(CheckMeta::decode(&rec).filter(|m| {
+                m.slot == s && ByteSize::from_bytes(m.payload_len) <= layout.slot_size
+            }));
+            device.read_durable_at(layout.slot_state(s), &mut state_rec)?;
+            slot_state.push(SlotState::decode(&state_rec));
         }
 
         let mut namespaces = Vec::new();
-        if max_namespaces > 0 {
-            let dir_base = CheckpointStore::ns_dir_base_static(
-                slot_size,
-                slots,
-                flight_records,
-                digest_chunks,
-            );
-            let mut desc_buf = [0u8; NS_DESC_SIZE as usize];
-            for i in 0..max_namespaces {
-                let entry_off = dir_base + u64::from(i) * NS_ENTRY_SIZE;
-                device.read_durable_at(entry_off, &mut desc_buf)?;
-                let Some(desc) = NamespaceDesc::decode(&desc_buf) else {
-                    continue;
-                };
-                if desc.slot_start + desc.slot_count > slots || desc.slot_count == 0 {
-                    continue;
-                }
-                device.read_durable_at(entry_off + NS_DESC_SIZE, &mut rec)?;
-                let range = desc.slot_start..desc.slot_start + desc.slot_count;
-                let check_addr = CheckMeta::decode(&rec).filter(|m| range.contains(&m.slot));
-                namespaces.push(RawNamespace { desc, check_addr });
-            }
+        for i in 0..layout.max_namespaces {
+            let Some(desc) = layout.read_ns_desc(device, i)? else {
+                continue;
+            };
+            device.read_durable_at(layout.ns_entry(i) + NS_DESC_SIZE, &mut rec)?;
+            let check_addr =
+                CheckMeta::decode(&rec).filter(|m| desc.slot_range().contains(&m.slot));
+            namespaces.push(RawNamespace { desc, check_addr });
         }
 
         Ok(RawStoreView {
-            slots,
-            slot_size,
-            flight_records,
-            max_namespaces,
-            check_addr,
+            slots: layout.slots,
+            slot_size: layout.slot_size,
+            flight_records: layout.flight_records,
+            max_namespaces: layout.max_namespaces,
             slot_meta,
-            state_words,
             slot_state,
             namespaces,
+            layout,
         })
     }
 
@@ -1823,72 +1521,52 @@ impl RawStoreView {
 
     /// Device offset of `slot`'s payload.
     pub fn slot_payload_offset(&self, slot: u32) -> u64 {
-        CheckpointStore::slot_meta_offset_static(slot, self.slot_size) + META_RECORD_SIZE
+        self.layout.slot_meta(slot) + META_RECORD_SIZE
     }
 
     /// Device offset of the flight ring header (meaningful only when
     /// [`flight_records`](Self::flight_records) > 0).
     pub fn flight_base(&self) -> u64 {
-        CheckpointStore::flight_base_static(self.slot_size, self.slots)
+        self.layout.flight_base()
     }
 
-    /// The checkpoint recovery would restore, replicating
-    /// `CheckpointStore::open`'s scan over durable bytes: the max-counter
-    /// checkpoint among a slot-consistent `CHECK_ADDR` and the valid slot
-    /// records.
+    /// The newest checkpoint recovery would restore across every
+    /// namespace (on a `format`ted store: the owner namespace's).
     pub fn expected_recovery(&self) -> Option<CheckMeta> {
-        if self.max_namespaces > 0 {
-            // Service mode: recovery is per-namespace; the global answer is
-            // the newest across them (diagnostics only).
-            return self
-                .namespaces
-                .iter()
-                .filter_map(|ns| self.expected_recovery_for(ns.desc.job))
-                .max_by_key(|m| m.counter);
-        }
-        Self::best_of(self.check_addr.as_ref(), &self.slot_meta, 0..self.slots)
-    }
-
-    /// The checkpoint recovery would restore for `job`'s namespace — the
-    /// same max-counter scan as [`expected_recovery`](Self::expected_recovery)
-    /// but confined to the namespace's slot range and its own check record.
-    /// `None` when the job has no namespace or nothing committed.
-    pub fn expected_recovery_for(&self, job: u64) -> Option<CheckMeta> {
-        let ns = self.namespaces.iter().find(|ns| ns.desc.job == job)?;
-        let range = ns.desc.slot_start..ns.desc.slot_start + ns.desc.slot_count;
-        Self::best_of(ns.check_addr.as_ref(), &self.slot_meta, range)
-    }
-
-    /// The job whose namespace owns `slot`, or `None` for unallocated
-    /// slots / single-tenant stores.
-    pub fn namespace_of_slot(&self, slot: u32) -> Option<u64> {
         self.namespaces
             .iter()
-            .find(|ns| {
-                (ns.desc.slot_start..ns.desc.slot_start + ns.desc.slot_count).contains(&slot)
-            })
-            .map(|ns| ns.desc.job)
+            .filter_map(|ns| self.expected_recovery_for(ns.desc.job))
+            .max_by_key(|m| m.counter)
     }
 
-    fn best_of(
-        check_addr: Option<&CheckMeta>,
-        slot_meta: &[Option<CheckMeta>],
-        range: std::ops::Range<u32>,
-    ) -> Option<CheckMeta> {
-        let mut best: Option<CheckMeta> = None;
-        if let Some(ca) = check_addr {
-            if range.contains(&ca.slot) && slot_meta.get(ca.slot as usize) == Some(&Some(*ca)) {
-                best = Some(*ca);
-            }
-        }
+    /// The checkpoint recovery would restore for `job`'s namespace,
+    /// replicating `CheckpointStore::open`'s scan over durable bytes: the
+    /// max-counter checkpoint among a slot-consistent check record and the
+    /// valid slot records of the namespace's range. `None` when the job
+    /// has no namespace or nothing committed.
+    pub fn expected_recovery_for(&self, job: u64) -> Option<CheckMeta> {
+        let ns = self.namespaces.iter().find(|ns| ns.desc.job == job)?;
+        let range = ns.desc.slot_range();
+        let mut best: Option<CheckMeta> = ns
+            .check_addr
+            .filter(|ca| self.slot_meta.get(ca.slot as usize) == Some(&Some(*ca)));
         for s in range {
-            if let Some(meta) = slot_meta.get(s as usize).copied().flatten() {
-                if best.map_or(true, |b| meta.counter > b.counter) {
+            if let Some(meta) = self.slot_meta.get(s as usize).copied().flatten() {
+                if best.is_none_or(|b| meta.counter > b.counter) {
                     best = Some(meta);
                 }
             }
         }
         best
+    }
+
+    /// The job whose namespace owns `slot`, or `None` for unallocated
+    /// slots.
+    pub fn namespace_of_slot(&self, slot: u32) -> Option<u64> {
+        self.namespaces
+            .iter()
+            .find(|ns| ns.desc.slot_range().contains(&slot))
+            .map(|ns| ns.desc.job)
     }
 
     /// Reads a slot's durable payload bytes, sized by its meta record.
@@ -1922,11 +1600,11 @@ mod tests {
         let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(slot_size), slots);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        CheckpointStore::format(dev, ByteSize::from_bytes(slot_size), slots).unwrap()
+        CheckpointStore::format(dev, ByteSize::from_bytes(slot_size), slots, 0).unwrap()
     }
 
     fn full_checkpoint(st: &CheckpointStore, iter: u64, payload: &[u8]) -> CommitOutcome {
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(None).unwrap();
         st.write_payload(&lease, 0, payload).unwrap();
         st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
         let digest = crate::meta::checksum(payload);
@@ -1969,8 +1647,8 @@ mod tests {
     #[test]
     fn out_of_order_commit_is_superseded() {
         let st = store(64, 3);
-        let lease_old = st.begin_checkpoint(); // counter 1
-        let lease_new = st.begin_checkpoint(); // counter 2
+        let lease_old = st.begin_checkpoint(None).unwrap(); // counter 1
+        let lease_new = st.begin_checkpoint(None).unwrap(); // counter 2
         st.write_payload(&lease_new, 0, b"new").unwrap();
         st.persist_payload(&lease_new, 0, 3).unwrap();
         assert_eq!(
@@ -1990,7 +1668,7 @@ mod tests {
     #[test]
     fn oversized_payload_rejected() {
         let st = store(8, 2);
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(None).unwrap();
         assert!(st.write_payload(&lease, 4, &[0u8; 8]).is_err());
         st.write_payload(&lease, 0, &[0u8; 8]).unwrap();
         // Return the lease through a commit to avoid leaking the slot.
@@ -2005,7 +1683,7 @@ mod tests {
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         {
             let st =
-                CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3).unwrap();
+                CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3, 0).unwrap();
             full_checkpoint(&st, 7, &payload);
         }
         dev.crash_now();
@@ -2015,7 +1693,7 @@ mod tests {
         assert_eq!(meta.iteration, 7);
         assert_eq!(meta.payload_len, payload.len() as u64);
         // Counter resumes above the recovered one.
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(None).unwrap();
         assert!(lease.counter > meta.counter);
         assert_ne!(lease.slot, meta.slot, "committed slot is not leased out");
     }
@@ -2036,10 +1714,10 @@ mod tests {
         let dev: Arc<dyn PersistentDevice> = Arc::new(SsdDevice::new(
             DeviceConfig::fast_for_tests(ByteSize::from_kb(4)),
         ));
-        assert!(CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 1).is_err());
-        assert!(CheckpointStore::format(Arc::clone(&dev), ByteSize::ZERO, 2).is_err());
+        assert!(CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 1, 0).is_err());
+        assert!(CheckpointStore::format(Arc::clone(&dev), ByteSize::ZERO, 2, 0).is_err());
         assert!(
-            CheckpointStore::format(dev, ByteSize::from_gb(1.0), 2).is_err(),
+            CheckpointStore::format(dev, ByteSize::from_gb(1.0), 2, 0).is_err(),
             "device too small"
         );
     }
@@ -2049,11 +1727,11 @@ mod tests {
         let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 2);
         let dev_concrete = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let dev: Arc<dyn PersistentDevice> = dev_concrete.clone();
-        let st = CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 2).unwrap();
+        let st = CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 2, 0).unwrap();
         full_checkpoint(&st, 1, b"first");
         // Second checkpoint: payload written + persisted, meta written but
         // CRASH before the meta record persists / CAS runs.
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(None).unwrap();
         st.write_payload(&lease, 0, b"second").unwrap();
         st.persist_payload(&lease, 0, 6).unwrap();
         dev.crash_now();
@@ -2070,9 +1748,9 @@ mod tests {
         let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let st = CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3).unwrap();
+        let st = CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3, 0).unwrap();
         full_checkpoint(&st, 1, b"one");
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(None).unwrap();
         st.write_payload(&lease, 0, b"two").unwrap();
         st.persist_payload(&lease, 0, 3).unwrap();
         // Persist the slot meta record manually (as commit() would), then
@@ -2128,18 +1806,17 @@ mod tests {
     #[test]
     fn flight_ring_witnesses_lifecycle_and_survives_crash() {
         use pccheck_telemetry::FlightEventKind as K;
-        let cap = CheckpointStore::required_capacity_with_flight(ByteSize::from_bytes(64), 3, 32);
+        let cap = CheckpointStore::required_capacity_service(ByteSize::from_bytes(64), 3, 32, 1);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let st =
-            CheckpointStore::format_with_flight(Arc::clone(&dev), ByteSize::from_bytes(64), 3, 32)
-                .unwrap();
+            CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3, 32).unwrap();
         assert!(st.flight().is_enabled());
         full_checkpoint(&st, 5, b"five");
         full_checkpoint(&st, 6, b"six");
         dev.crash_now();
         // The ring is readable from durable bytes while crashed.
-        let base = CheckpointStore::flight_base_static(ByteSize::from_bytes(64), 3);
+        let base = Layout::new(ByteSize::from_bytes(64), 3, 32, 1).flight_base();
         let scan = FlightRing::scan(dev.as_ref(), base).unwrap();
         let kinds: Vec<K> = scan.records.iter().map(|r| r.kind).collect();
         assert_eq!(
@@ -2172,25 +1849,12 @@ mod tests {
     }
 
     #[test]
-    fn format_without_flight_is_backward_compatible() {
-        let st = store(256, 3);
-        assert!(!st.flight().is_enabled());
-        full_checkpoint(&st, 1, b"x");
-        // Geometry identical to the pre-flight layout.
-        assert_eq!(
-            CheckpointStore::required_capacity_with_flight(ByteSize::from_bytes(256), 3, 0),
-            CheckpointStore::required_capacity(ByteSize::from_bytes(256), 3)
-        );
-    }
-
-    #[test]
     fn raw_view_matches_store_state_while_crashed() {
-        let cap = CheckpointStore::required_capacity_with_flight(ByteSize::from_bytes(64), 3, 16);
+        let cap = CheckpointStore::required_capacity_service(ByteSize::from_bytes(64), 3, 16, 1);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let st =
-            CheckpointStore::format_with_flight(Arc::clone(&dev), ByteSize::from_bytes(64), 3, 16)
-                .unwrap();
+            CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3, 16).unwrap();
         full_checkpoint(&st, 3, b"abc");
         let committed = st.latest_committed().unwrap();
         dev.crash_now();
@@ -2198,7 +1862,7 @@ mod tests {
         assert_eq!(view.slots, 3);
         assert_eq!(view.slot_size.as_u64(), 64);
         assert_eq!(view.flight_records, 16);
-        assert_eq!(view.check_addr, Some(committed));
+        assert_eq!(view.namespaces[0].check_addr, Some(committed));
         assert_eq!(view.expected_recovery(), Some(committed));
         assert_eq!(
             view.read_slot_payload(dev.as_ref(), committed.slot)
@@ -2211,7 +1875,7 @@ mod tests {
     fn delta_checkpoint(st: &CheckpointStore, iter: u64, payload: &[u8]) -> CommitOutcome {
         let base = st.latest_committed().expect("delta needs a committed base");
         let depth = base.delta.map_or(0, |l| l.chain_depth);
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(None).unwrap();
         st.write_payload(&lease, 0, payload).unwrap();
         st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
         let digest = crate::meta::checksum(payload);
@@ -2252,7 +1916,7 @@ mod tests {
     fn delta_commit_rejects_reserved_base_counter() {
         let st = store(64, 3);
         full_checkpoint(&st, 1, b"base");
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(None).unwrap();
         st.write_payload(&lease, 0, b"d").unwrap();
         st.persist_payload(&lease, 0, 1).unwrap();
         let err = st.commit_with_delta(
@@ -2276,7 +1940,7 @@ mod tests {
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         {
             let st =
-                CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 4).unwrap();
+                CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 4, 0).unwrap();
             full_checkpoint(&st, 1, b"base");
             delta_checkpoint(&st, 2, b"d1");
             delta_checkpoint(&st, 3, b"d2");
@@ -2289,7 +1953,7 @@ mod tests {
         assert_eq!(head.delta.unwrap().chain_depth, 2);
         // Only the one slot outside the 3-slot chain is free.
         assert_eq!(st.free_slot_count(), 1);
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(None).unwrap();
         let chain: Vec<u32> = {
             let mut c = vec![head.slot];
             let mut link = head.delta;
@@ -2315,7 +1979,7 @@ mod tests {
         assert_eq!(st.digest_chunks(), 2);
         let payload: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
         let digest = crate::meta::checksum(&payload);
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(None).unwrap();
         let slot = lease.slot;
         st.write_payload(&lease, 0, &payload).unwrap();
         st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
@@ -2341,30 +2005,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_header_without_digest_region_reads_as_feature_off() {
-        let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3);
-        let dev: Arc<dyn PersistentDevice> =
-            Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        {
-            let st =
-                CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3).unwrap();
-            full_checkpoint(&st, 4, b"legacy");
-        }
-        // Rewrite the header the way a pre-digest-region format would have:
-        // bytes 24..28 zeroed.
-        dev.write_at(24, &[0u8; 4]).unwrap();
-        dev.persist(24, 4).unwrap();
-        let st = CheckpointStore::open(dev).unwrap();
-        assert_eq!(st.digest_chunks(), 0);
-        assert!(st.slot_digest_offset(0).is_none());
-        let meta = st.latest_committed().unwrap();
-        assert_eq!(meta.iteration, 4);
-        assert!(st.read_digest_table(&meta).is_none());
-        let table = ChunkDigestTable::build(b"legacy", 4096, meta.counter, meta.digest);
-        assert!(!st.write_digest_table(meta.slot, &table).unwrap());
-    }
-
-    #[test]
     fn concurrent_commits_maintain_invariants() {
         let st = Arc::new(store(64, 4)); // N=3
         std::thread::scope(|s| {
@@ -2374,7 +2014,7 @@ mod tests {
                     for i in 0..50u64 {
                         let iter = t * 1000 + i;
                         let payload = iter.to_le_bytes();
-                        let lease = st.begin_checkpoint();
+                        let lease = st.begin_checkpoint(None).unwrap();
                         st.write_payload(&lease, 0, &payload).unwrap();
                         st.persist_payload(&lease, 0, 8).unwrap();
                         st.commit(lease, iter, 8, 0).unwrap();
@@ -2415,7 +2055,7 @@ mod tests {
         iter: u64,
         payload: &[u8],
     ) -> CommitOutcome {
-        let lease = st.begin_checkpoint_job(job).unwrap();
+        let lease = st.begin_checkpoint(Some(job)).unwrap();
         st.write_payload(&lease, 0, payload).unwrap();
         st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
         let digest = crate::meta::checksum(payload);
@@ -2426,7 +2066,6 @@ mod tests {
     #[test]
     fn service_format_allocate_and_isolate_jobs() {
         let st = service_store(128, 8, 4);
-        assert!(st.is_multi_tenant());
         assert_eq!(st.unallocated_slots(), 8);
         let a = st.allocate_namespace(1, 3).unwrap();
         let b = st.allocate_namespace(2, 3).unwrap();
@@ -2477,16 +2116,10 @@ mod tests {
         st.allocate_namespace(8, 2).unwrap();
         // Directory full.
         assert!(st.allocate_namespace(9, 2).is_err());
-        // Unknown job cannot begin.
-        assert!(st.begin_checkpoint_job(99).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "multi-tenant")]
-    fn service_rejects_legacy_begin() {
-        let st = service_store(128, 4, 2);
-        st.allocate_namespace(1, 2).unwrap();
-        let _ = st.begin_checkpoint();
+        // Unknown job cannot begin, and a service store has no owner
+        // namespace for unscoped leases.
+        assert!(st.begin_checkpoint(Some(99)).is_err());
+        assert!(st.begin_checkpoint(None).is_err());
     }
 
     #[test]
@@ -2513,7 +2146,6 @@ mod tests {
         drop(st);
 
         let st2 = CheckpointStore::open(dev).unwrap();
-        assert!(st2.is_multi_tenant());
         assert_eq!(st2.namespaces().len(), 2);
         let m1 = st2.latest_committed_job(1).unwrap().unwrap();
         let m2 = st2.latest_committed_job(2).unwrap().unwrap();
@@ -2523,7 +2155,7 @@ mod tests {
         assert_eq!(st2.read_checkpoint(&m1).unwrap(), b"one-11");
         assert_eq!(st2.read_checkpoint(&m2).unwrap(), b"two-20");
         // The resumed global counter is past every namespace's commits.
-        let lease = st2.begin_checkpoint_job(2).unwrap();
+        let lease = st2.begin_checkpoint(Some(2)).unwrap();
         assert!(lease.counter > c1);
         assert!(lease.counter > m2.counter);
         // Committed slots stayed pinned; the rest of each range is free.
@@ -2552,7 +2184,7 @@ mod tests {
         job_checkpoint(&st, 2, 20, b"two-20");
         // Job 1 writes but crashes before its meta persists: the volatile
         // overlay (unpersisted writes) is torn away.
-        let lease = st.begin_checkpoint_job(1).unwrap();
+        let lease = st.begin_checkpoint(Some(1)).unwrap();
         st.write_payload(&lease, 0, b"one-11-torn").unwrap();
         ssd.crash_now();
         ssd.recover();
@@ -2587,32 +2219,65 @@ mod tests {
     }
 
     #[test]
-    fn legacy_header_reads_as_single_tenant() {
+    fn format_carves_one_owner_namespace() {
         let st = store(256, 3);
-        full_checkpoint(&st, 4, b"legacy");
-        let view = RawStoreView::load(st.device().as_ref()).unwrap();
-        assert_eq!(view.max_namespaces, 0);
-        assert!(view.namespaces.is_empty());
-        assert!(!st.is_multi_tenant());
+        full_checkpoint(&st, 4, b"owner");
+        let owner = NamespaceDesc {
+            job: OWNER_JOB,
+            slot_start: 0,
+            slot_count: 3,
+        };
+        assert_eq!(st.namespaces(), [owner]);
+        assert_eq!(st.max_namespaces(), 1);
         assert_eq!(st.unallocated_slots(), 0);
+        assert_eq!(
+            st.latest_committed_job(OWNER_JOB).unwrap(),
+            st.latest_committed()
+        );
+        let view = RawStoreView::load(st.device().as_ref()).unwrap();
+        assert_eq!(view.max_namespaces, 1);
+        assert_eq!(view.namespaces.len(), 1);
+        assert_eq!(view.namespaces[0].desc, owner);
+        assert_eq!(view.expected_recovery(), st.latest_committed());
+        // The directory is full, and jobs other than the owner have no
+        // namespace to run in.
         assert!(st.allocate_namespace(1, 2).is_err());
-        assert!(st.begin_checkpoint_job(1).is_err());
+        assert!(st.begin_checkpoint(Some(1)).is_err());
         assert!(st.latest_committed_job(1).is_err());
+        assert!(st.free_slot_count_job(1).is_err());
     }
 
     #[test]
-    fn state_words_track_the_commit_lattice() {
+    fn old_layout_header_is_rejected() {
+        let st = store(64, 3);
+        full_checkpoint(&st, 1, b"one");
+        let dev = Arc::clone(st.device());
+        drop(st);
+        // The previous layout's magic, "PCcheCk1".
+        dev.write_at(0, &0x5043_6368_6543_6B31u64.to_le_bytes())
+            .unwrap();
+        dev.persist(0, 8).unwrap();
+        assert!(matches!(
+            CheckpointStore::open(Arc::clone(&dev)),
+            Err(PccheckError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            RawStoreView::load(dev.as_ref()),
+            Err(PccheckError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn slot_states_track_the_commit_lattice() {
         let st = store(64, 3);
         for s in 0..3 {
             assert_eq!(st.slot_commit_state(s), SlotState::Free);
-            assert!(st.slot_state_offset(s).is_some());
         }
         let view = RawStoreView::load(st.device().as_ref()).unwrap();
-        assert!(view.state_words);
         assert!(view.slot_state.iter().all(|s| *s == Some(SlotState::Free)));
 
         // Claim: Free -> Claimed{counter}, in memory and on the device.
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(None).unwrap();
         let claimed = SlotState::Claimed {
             counter: lease.counter,
         };
@@ -2656,11 +2321,11 @@ mod tests {
 
         // Re-claiming the displaced slot overwrites the durable word; the
         // stale meta no longer matches, so the slot reads as in-flight.
-        let mut lease3 = st.begin_checkpoint();
+        let mut lease3 = st.begin_checkpoint(None).unwrap();
         if lease3.slot != c1_slot {
             // Two free slots: keep drawing until the displaced one comes up.
             let other = lease3;
-            lease3 = st.begin_checkpoint();
+            lease3 = st.begin_checkpoint(None).unwrap();
             st.commit(other, 3, 0, crate::meta::checksum(b"")).unwrap();
         }
         assert_eq!(lease3.slot, c1_slot, "displaced slot recycles via queue");
@@ -2675,41 +2340,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_header_without_state_region_reads_as_feature_off() {
-        let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3);
-        let dev: Arc<dyn PersistentDevice> =
-            Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        {
-            let st =
-                CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3).unwrap();
-            full_checkpoint(&st, 4, b"legacy");
-        }
-        // Rewrite the header the way a pre-lattice format would have:
-        // bytes 32..36 zeroed.
-        dev.write_at(32, &[0u8; 4]).unwrap();
-        dev.persist(32, 4).unwrap();
-        let st = CheckpointStore::open(Arc::clone(&dev)).unwrap();
-        assert!(st.slot_state_offset(0).is_none());
-        let meta = st.latest_committed().unwrap();
-        assert_eq!(meta.iteration, 4);
-        // Commits still work; the in-memory lattice runs without the
-        // durable mirror.
-        full_checkpoint(&st, 5, b"newer");
-        assert_eq!(st.latest_committed().unwrap().iteration, 5);
-        // The decision procedure degrades to meta-CRC-only verdicts.
-        let view = RawStoreView::load(dev.as_ref()).unwrap();
-        assert!(!view.state_words);
-        assert!(view.slot_state.iter().all(Option::is_none));
-        let outcomes = view.slot_outcomes();
-        assert!(outcomes
-            .iter()
-            .all(|o| matches!(o, SlotOutcome::Empty | SlotOutcome::Historical { .. })));
-        assert!(outcomes
-            .iter()
-            .any(|o| matches!(o, SlotOutcome::Historical { .. })));
-    }
-
-    #[test]
     fn crash_between_claim_and_meta_publish_is_decidable() {
         let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3);
         let dev: Arc<dyn PersistentDevice> =
@@ -2717,13 +2347,13 @@ mod tests {
         let (committed_slot, committed_ctr, leased_slot, leased_ctr);
         {
             let st =
-                CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3).unwrap();
+                CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3, 0).unwrap();
             full_checkpoint(&st, 1, b"one");
             let prev = st.latest_committed().unwrap();
             (committed_slot, committed_ctr) = (prev.slot, prev.counter);
             // Claim a slot (state word goes durable) and crash before any
             // meta is written for it.
-            let lease = st.begin_checkpoint();
+            let lease = st.begin_checkpoint(None).unwrap();
             (leased_slot, leased_ctr) = (lease.slot, lease.counter);
             std::mem::forget(lease);
         }
@@ -2758,9 +2388,9 @@ mod tests {
         let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let st = CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3).unwrap();
+        let st = CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3, 0).unwrap();
         full_checkpoint(&st, 1, b"one");
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(None).unwrap();
         st.write_payload(&lease, 0, b"two").unwrap();
         st.persist_payload(&lease, 0, 3).unwrap();
         let meta = CheckMeta {
@@ -2798,7 +2428,7 @@ mod tests {
                     for i in 0..30u64 {
                         let iter = t * 1000 + i;
                         let payload = iter.to_le_bytes();
-                        let lease = st.begin_checkpoint();
+                        let lease = st.begin_checkpoint(None).unwrap();
                         st.write_payload(&lease, 0, &payload).unwrap();
                         st.persist_payload(&lease, 0, 8).unwrap();
                         st.commit(lease, iter, 8, 0).unwrap();

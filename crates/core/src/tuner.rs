@@ -655,11 +655,7 @@ impl PersistController {
         self.codec_cooldown = self.codec_cooldown.saturating_sub(1);
         self.delta_cooldown = self.delta_cooldown.saturating_sub(1);
 
-        let stall_mean = if checkpoints > 0 {
-            stall_sum / checkpoints
-        } else {
-            0
-        };
+        let stall_mean = stall_sum.checked_div(checkpoints).unwrap_or(0);
         let saturated = signals.device_queue_depth >= self.cfg.device_queue_saturated;
 
         // --- Writer count: more writers shorten Tw only while the device
@@ -1204,7 +1200,7 @@ mod tests {
         let device: Arc<dyn PersistentDevice> = Arc::new(SsdDevice::new(
             DeviceConfig::fast_for_tests(ByteSize::from_kb(64)),
         ));
-        let store = CheckpointStore::format(device, ByteSize::from_kb(4), 3).unwrap();
+        let store = CheckpointStore::format(device, ByteSize::from_kb(4), 3, 0).unwrap();
         let pipeline = crate::pipeline::PersistPipeline::new(Arc::new(store))
             .with_writers(2)
             .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 16))

@@ -8,7 +8,7 @@
 //! * one [`QosArbiter`] scheduling writer-pool bandwidth across jobs,
 //! * one [`MetricsRegistry`] with a `job="<name>"` label per tenant.
 //!
-//! Jobs arrive via [`Daemon::submit`], pass [`admission`](crate::admission),
+//! Jobs arrive via [`Daemon::submit`], pass [`crate::admission`],
 //! get a namespace plus a [`PcCheckEngine`] facade, and train on a
 //! background worker until their iteration budget runs out or
 //! [`Daemon::drain`] stops them. Drained state stays recoverable: the

@@ -72,9 +72,7 @@ impl FileDevice {
     ///
     /// # Errors
     ///
-    /// Returns [`DeviceError::Io`]-equivalent wrapped errors on filesystem
-    /// failures (reported as `OutOfBounds` is never used here; I/O errors
-    /// panic-free propagate via `std::io::Error` conversion below).
+    /// Returns the [`std::io::Error`] of the failing filesystem call.
     pub fn create<P: AsRef<Path>>(path: P, config: DeviceConfig) -> std::io::Result<Self> {
         let file = OpenOptions::new()
             .read(true)
@@ -127,7 +125,7 @@ impl FileDevice {
     fn check_bounds(&self, offset: u64, len: u64) -> Result<()> {
         if offset
             .checked_add(len)
-            .map_or(true, |end| end > self.config.capacity.as_u64())
+            .is_none_or(|end| end > self.config.capacity.as_u64())
         {
             return Err(DeviceError::OutOfBounds {
                 offset,

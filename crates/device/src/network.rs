@@ -165,7 +165,7 @@ impl RemoteMemory {
         }
         if offset
             .checked_add(len)
-            .map_or(true, |end| end > self.capacity.as_u64())
+            .is_none_or(|end| end > self.capacity.as_u64())
         {
             return Err(DeviceError::OutOfBounds {
                 offset,

@@ -81,7 +81,7 @@ impl MemRegion {
 
     fn check_bounds(&self, offset: u64, len: u64) -> Result<()> {
         let cap = self.volatile.len() as u64;
-        if offset.checked_add(len).map_or(true, |end| end > cap) {
+        if offset.checked_add(len).is_none_or(|end| end > cap) {
             return Err(DeviceError::OutOfBounds {
                 offset,
                 len,

@@ -623,7 +623,7 @@ mod tests {
         let guard = g.lock_weights_shared();
         let dirty = guard.dirty_ranges();
         let total: u64 = dirty.iter().map(|(_, l)| l).sum();
-        assert!(total >= 30 && total < 40, "~10% of 300, got {total}");
+        assert!((30..40).contains(&total), "~10% of 300, got {total}");
         drop(guard);
         // Nothing mutated since: the next snapshot sees an empty set.
         assert!(g.lock_weights_shared().dirty_ranges().is_empty());

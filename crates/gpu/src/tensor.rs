@@ -475,7 +475,7 @@ mod tests {
         let mut after = vec![0u8; s.size().as_usize()];
         s.serialize_into(&mut after);
         let dirty: u64 = ranges.iter().map(|(_, l)| l).sum();
-        assert!(dirty >= 30 && dirty < 40, "~10% of 300 bytes, got {dirty}");
+        assert!((30..40).contains(&dirty), "~10% of 300 bytes, got {dirty}");
         for (i, (b, a)) in before.iter().zip(&after).enumerate() {
             let in_range = ranges
                 .iter()

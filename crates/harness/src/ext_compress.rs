@@ -77,7 +77,7 @@ pub fn measure(period: usize, sparsity: f64) -> ExtCompressRow {
     let device: Arc<dyn PersistentDevice> =
         Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
     let store =
-        Arc::new(CheckpointStore::format(Arc::clone(&device), gpu.state_size(), slots).unwrap());
+        Arc::new(CheckpointStore::format(Arc::clone(&device), gpu.state_size(), slots, 0).unwrap());
     // The framed copy stages the whole snapshot, so the pool must cover it.
     let pool_chunks = (STATE_BYTES / CHUNK_BYTES) as usize;
     let pipeline = PersistPipeline::new(store)

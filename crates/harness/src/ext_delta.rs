@@ -64,7 +64,7 @@ pub fn measure(sparsity: f64, max_chain: u32) -> ExtDeltaRow {
     let cap = CheckpointStore::required_capacity(gpu.state_size(), slots) + ByteSize::from_kb(4);
     let device: Arc<dyn PersistentDevice> =
         Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-    let store = Arc::new(CheckpointStore::format(device, gpu.state_size(), slots).unwrap());
+    let store = Arc::new(CheckpointStore::format(device, gpu.state_size(), slots, 0).unwrap());
     let pipeline = PersistPipeline::new(store)
         .with_writers(2)
         .with_staging(HostBufferPool::new(ByteSize::from_bytes(CHUNK_BYTES), 8));

@@ -97,7 +97,7 @@ pub fn committed_store(size: ByteSize, ways: u32) -> Arc<CheckpointStore> {
             ByteSize::from_bytes(STRIPE_UNIT),
         ))
     };
-    let store = Arc::new(CheckpointStore::format(device, size, 2).expect("format store"));
+    let store = Arc::new(CheckpointStore::format(device, size, 2, 0).expect("format store"));
     let src = HostSnapshot {
         data: (0..size.as_u64())
             .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
@@ -112,7 +112,7 @@ pub fn committed_store(size: ByteSize, ways: u32) -> Arc<CheckpointStore> {
         telemetry: &telemetry,
         span: SpanId::NONE,
     };
-    let lease = persist.lease(ctx);
+    let lease = persist.lease_for(ctx, None).expect("owner namespace");
     let persist_start = persist
         .copy_streamed(ctx, &src, &lease, size)
         .expect("persist payload");

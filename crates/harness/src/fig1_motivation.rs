@@ -45,11 +45,11 @@ fn measured_protocol_secs() -> f64 {
     let cap = CheckpointStore::required_capacity(state, 3) + ByteSize::from_kb(4);
     let device: Arc<dyn PersistentDevice> =
         Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-    let store =
-        CheckpointStore::format(Arc::clone(&device), state, 3).expect("device sized for the store");
+    let store = CheckpointStore::format(Arc::clone(&device), state, 3, 0)
+        .expect("device sized for the store");
     let payload = vec![0x5A; state.as_u64() as usize];
     for iteration in [1u64, 2] {
-        let lease = store.begin_checkpoint();
+        let lease = store.begin_checkpoint(None).expect("owner namespace");
         store.write_payload(&lease, 0, &payload).expect("write");
         store
             .persist_payload(&lease, 0, payload.len() as u64)

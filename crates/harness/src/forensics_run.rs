@@ -24,10 +24,9 @@
 
 use std::sync::Arc;
 
-use pccheck::store::SlotLease;
 use pccheck::{
-    recover_instrumented_with, CheckMeta, CheckpointStore, DeltaLink, JobId, PccheckError,
-    RecoveredCheckpoint, RecoveryTrace, RestoreOptions,
+    recover_instrumented_with, CheckpointStore, DeltaLink, JobId, PccheckError,
+    RecoveredCheckpoint, RecoveryTrace, RestoreOptions, OWNER_JOB,
 };
 use pccheck_device::{
     fnv1a, DeviceConfig, ExtentRecord, ExtentTable, PersistentDevice, SsdDevice, StripedDevice,
@@ -37,6 +36,10 @@ use pccheck_gpu::StateDigest;
 use pccheck_monitor::ForensicReport;
 use pccheck_telemetry::{FlightEventKind, Telemetry};
 use pccheck_util::ByteSize;
+
+/// A device plus the trigger that arms its persist fuse: `arm(n)` crashes
+/// the whole power domain after `n` more persists.
+pub type FusedDevice = (Arc<dyn PersistentDevice>, Box<dyn Fn(u64)>);
 
 /// A protocol step at which the crash is injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,37 +227,6 @@ fn build_delta_payload(full: &[u8], iteration: u64, ranges: &[(u64, u64)]) -> (V
     (payload, table_len)
 }
 
-/// Which commit domain a driven checkpoint runs in: the legacy
-/// store-global free queue + `CHECK_ADDR`, or one tenant's namespace on
-/// a service-mode store. Every crash-drive helper below comes in both
-/// flavors so the same six crash points exercise flat *and* multi-tenant
-/// formats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scope {
-    /// Legacy single-tenant store: `begin_checkpoint` /
-    /// `latest_committed`.
-    Global,
-    /// One namespace of a service-mode store: `begin_checkpoint_job` /
-    /// `latest_committed_job`.
-    Job(JobId),
-}
-
-impl Scope {
-    fn begin(self, store: &CheckpointStore) -> Result<SlotLease, PccheckError> {
-        match self {
-            Scope::Global => Ok(store.begin_checkpoint()),
-            Scope::Job(job) => store.begin_checkpoint_job(job),
-        }
-    }
-
-    fn latest(self, store: &CheckpointStore) -> Result<Option<CheckMeta>, PccheckError> {
-        match self {
-            Scope::Global => Ok(store.latest_committed()),
-            Scope::Job(job) => store.latest_committed_job(job),
-        }
-    }
-}
-
 /// Commits a delta checkpoint of `full` over the latest committed base,
 /// persisting only `ranges` behind an extent table and chaining via a
 /// [`DeltaLink`]. Emits the engine's flight records. Returns the
@@ -270,26 +242,28 @@ pub fn commit_delta_checkpoint(
     full: &[u8],
     ranges: &[(u64, u64)],
 ) -> Result<u64, PccheckError> {
-    commit_delta_checkpoint_scoped(store, Scope::Global, iteration, full, ranges)
+    commit_delta_checkpoint_scoped(store, OWNER_JOB, iteration, full, ranges)
 }
 
-/// [`commit_delta_checkpoint`] in an explicit [`Scope`] — the namespace
-/// variant drives one tenant's delta chain on a service-mode store.
+/// [`commit_delta_checkpoint`] in `job`'s namespace — drives one
+/// tenant's delta chain on a service-mode store.
 ///
 /// # Errors
 ///
 /// Same as [`commit_delta_checkpoint`].
 pub fn commit_delta_checkpoint_scoped(
     store: &CheckpointStore,
-    scope: Scope,
+    job: JobId,
     iteration: u64,
     full: &[u8],
     ranges: &[(u64, u64)],
 ) -> Result<u64, PccheckError> {
-    let base = scope.latest(store)?.ok_or(PccheckError::NoCheckpoint)?;
+    let base = store
+        .latest_committed_job(job)?
+        .ok_or(PccheckError::NoCheckpoint)?;
     let depth = base.delta.map_or(0, |l| l.chain_depth);
     let (payload, table_len) = build_delta_payload(full, iteration, ranges);
-    let lease = scope.begin(store)?;
+    let lease = store.begin_checkpoint(Some(job))?;
     let counter = lease.counter;
     let len = payload.len() as u64;
     store.write_payload(&lease, 0, &payload)?;
@@ -331,23 +305,22 @@ pub fn commit_checkpoint(
     iteration: u64,
     payload: &[u8],
 ) -> Result<u64, PccheckError> {
-    commit_checkpoint_scoped(store, Scope::Global, iteration, payload)
+    commit_checkpoint_scoped(store, OWNER_JOB, iteration, payload)
 }
 
-/// [`commit_checkpoint`] in an explicit [`Scope`] — the namespace
-/// variant commits through one tenant's private free queue and
-/// `CHECK_ADDR` on a service-mode store.
+/// [`commit_checkpoint`] in `job`'s namespace — commits through one
+/// tenant's private free queue and `CHECK_ADDR` on a service-mode store.
 ///
 /// # Errors
 ///
 /// Propagates device/store errors.
 pub fn commit_checkpoint_scoped(
     store: &CheckpointStore,
-    scope: Scope,
+    job: JobId,
     iteration: u64,
     payload: &[u8],
 ) -> Result<u64, PccheckError> {
-    let lease = scope.begin(store)?;
+    let lease = store.begin_checkpoint(Some(job))?;
     let counter = lease.counter;
     let len = payload.len() as u64;
     store.write_payload(&lease, 0, payload)?;
@@ -384,25 +357,25 @@ pub fn drive_to_crash_point(
     iteration: u64,
     payload: &[u8],
 ) -> Result<(u64, u32), PccheckError> {
-    drive_to_crash_point_scoped(store, Scope::Global, point, iteration, payload)
+    drive_to_crash_point_scoped(store, OWNER_JOB, point, iteration, payload)
 }
 
-/// [`drive_to_crash_point`] in an explicit [`Scope`] — the namespace
-/// variant strands one tenant's in-flight checkpoint on a service-mode
-/// store while the other tenants' committed state stays untouched.
+/// [`drive_to_crash_point`] in `job`'s namespace — strands one tenant's
+/// in-flight checkpoint on a service-mode store while the other tenants'
+/// committed state stays untouched.
 ///
 /// # Errors
 ///
 /// Same as [`drive_to_crash_point`].
 pub fn drive_to_crash_point_scoped(
     store: &CheckpointStore,
-    scope: Scope,
+    job: JobId,
     point: CrashPoint,
     iteration: u64,
     payload: &[u8],
 ) -> Result<(u64, u32), PccheckError> {
     if point == CrashPoint::AfterCommit {
-        let lease = scope.begin(store)?;
+        let lease = store.begin_checkpoint(Some(job))?;
         let slot = lease.slot;
         let counter = lease.counter;
         let len = payload.len() as u64;
@@ -428,18 +401,20 @@ pub fn drive_to_crash_point_scoped(
         // iteration, then a second delta stranded with its payload durable
         // but no meta record — the crash strands it exactly like a process
         // dying between persist and commit.
-        let base = scope.latest(store)?.ok_or(PccheckError::NoCheckpoint)?;
+        let base = store
+            .latest_committed_job(job)?
+            .ok_or(PccheckError::NoCheckpoint)?;
         let len = payload.len() as u64;
         let base_payload = synthetic_payload(base.iteration, len);
         let mid = base.iteration + iteration.saturating_sub(base.iteration) / 2;
         let ranges = [(0u64, len / 8), (len / 2, len / 8)];
         let full_mid = sparse_payload(&base_payload, mid, &ranges);
-        commit_delta_checkpoint_scoped(store, scope, mid, &full_mid, &ranges)?;
+        commit_delta_checkpoint_scoped(store, job, mid, &full_mid, &ranges)?;
 
         let ranges2 = [(len / 4, len / 8)];
         let full_crash = sparse_payload(&full_mid, iteration, &ranges2);
         let (delta_payload, _) = build_delta_payload(&full_crash, iteration, &ranges2);
-        let lease = scope.begin(store)?;
+        let lease = store.begin_checkpoint(Some(job))?;
         let (counter, slot) = (lease.counter, lease.slot);
         let dlen = delta_payload.len() as u64;
         store.write_payload(&lease, 0, &delta_payload)?;
@@ -458,7 +433,7 @@ pub fn drive_to_crash_point_scoped(
         std::mem::forget(lease);
         return Ok((counter, slot));
     }
-    let lease = scope.begin(store)?;
+    let lease = store.begin_checkpoint(Some(job))?;
     let (counter, slot) = (lease.counter, lease.slot);
     let len = payload.len() as u64;
     match point {
@@ -529,11 +504,11 @@ pub fn run_crash_scenario_with(
     options: RestoreOptions,
 ) -> Result<ForensicsRun, PccheckError> {
     let state = ByteSize::from_bytes(cfg.state_bytes);
-    let cap = CheckpointStore::required_capacity_with_flight(state, cfg.slots, cfg.flight_records)
+    let cap = CheckpointStore::required_capacity_service(state, cfg.slots, cfg.flight_records, 1)
         + ByteSize::from_kb(4);
     // `arm_fuse` abstracts over the SSD's persist fuse and the striped
     // controller's — both crash the whole store's power domain.
-    let (device, arm_fuse): (Arc<dyn PersistentDevice>, Box<dyn Fn(u64)>) = match cfg.topology {
+    let (device, arm_fuse): FusedDevice = match cfg.topology {
         DeviceTopology::Single => {
             let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
             let fuse = Arc::clone(&ssd);
@@ -565,12 +540,7 @@ pub fn run_crash_scenario_with(
             (tiered, Box::new(move |n| fuse.arm_crash_after_persists(n)))
         }
     };
-    let store = CheckpointStore::format_with_flight(
-        Arc::clone(&device),
-        state,
-        cfg.slots,
-        cfg.flight_records,
-    )?;
+    let store = CheckpointStore::format(Arc::clone(&device), state, cfg.slots, cfg.flight_records)?;
     commit_checkpoint(
         &store,
         cfg.baseline_iteration,

@@ -9,9 +9,9 @@
 //! the invariants the commit protocol of Listing 1 promises:
 //!
 //! 1. **Commit counters effectively monotone** — the durable `CHECK_ADDR`
-//!    only ever advances (`fetch_max`). On a multi-tenant (service-mode)
-//!    store each namespace has its own `CHECK_ADDR`, so monotonicity is
-//!    judged *per namespace*: jobs draw counters from one global sequence
+//!    only ever advances (`fetch_max`). Each namespace has its own
+//!    `CHECK_ADDR`, so monotonicity is judged *per namespace*: on a
+//!    multi-tenant store jobs draw counters from one global sequence
 //!    but commit independently, so cross-job commit order legitimately
 //!    interleaves. Within a namespace the lock-free publish path can log
 //!    two racing winners' `Commit` records slightly out of counter order
@@ -19,11 +19,10 @@
 //!    `fetch_max`), so an inversion is only a violation when the stale
 //!    record's checkpoint has no open window in the ring — a closed or
 //!    absent window means the record was fabricated, not raced.
-//! 2. **Bounded concurrency** — never more than `slots − 1` checkpoints
-//!    between `Begin` and a terminal event (one slot always holds the
-//!    latest committed state). Service stores allow `slots` total: each
-//!    namespace independently keeps one slot for its committed state, and
-//!    the bound per job is enforced by its namespace's free queue.
+//! 2. **Bounded concurrency** — never more than `slot_count − 1`
+//!    checkpoints per namespace, summed over namespaces, between `Begin`
+//!    and a terminal event (each namespace keeps one slot for its latest
+//!    committed state).
 //! 3. **Commit preceded by persist** — a `Commit` record requires the
 //!    checkpoint's `MetaPersisted` barrier earlier in the ring.
 //! 4. **Recovery restores the newest commit** — the checkpoint the store
@@ -289,12 +288,12 @@ pub struct ForensicReport {
     pub ring_wrapped: bool,
     /// Peak concurrent in-protocol checkpoints observed in the ring.
     pub peak_concurrency: usize,
-    /// The store's concurrency bound: `slots − 1` single-tenant, `slots`
-    /// on a service store (each namespace pins its own committed slot).
+    /// The store's concurrency bound: `slot_count − 1` summed over the
+    /// namespaces (each namespace pins its own committed slot), so
+    /// `slots − 1` on a store with one owner namespace.
     pub concurrency_limit: usize,
-    /// Per-namespace expected recovery heads on a service store:
-    /// `(job, head)` for every allocated namespace, in directory order.
-    /// Empty on single-tenant stores.
+    /// Per-namespace expected recovery heads: `(job, head)` for every
+    /// allocated namespace, in directory order.
     pub namespace_recovery: Vec<(u64, Option<pccheck::CheckMeta>)>,
     /// Each slot's post-crash classification, decided from its durable
     /// state word + meta CRC alone (the detectable-recovery lattice; all
@@ -417,16 +416,13 @@ impl ForensicReport {
 pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, PccheckError> {
     let view = RawStoreView::load(device.as_ref())?;
     let expected_recovery = view.expected_recovery();
-    let service = view.max_namespaces > 0;
-    // Single-tenant: one slot always holds the committed state, so at most
-    // slots−1 checkpoints are in protocol. Service mode: every namespace
-    // pins its own committed slot and sizes its own window, so the
-    // store-wide bound is simply the slot count.
-    let concurrency_limit = if service {
-        view.slots as usize
-    } else {
-        (view.slots as usize).saturating_sub(1)
-    };
+    // Every namespace keeps one slot for its committed state, so at most
+    // `slot_count − 1` of its checkpoints are in protocol at once.
+    let concurrency_limit = view
+        .namespaces
+        .iter()
+        .map(|ns| ns.desc.slot_count as usize - 1)
+        .sum();
     let namespace_recovery: Vec<(u64, Option<CheckMeta>)> = view
         .namespaces
         .iter()
@@ -453,15 +449,8 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
     // --- Replay the ring in sequence order. ---------------------------
     // Track per-counter progress and the set of checkpoints currently
     // between Begin and a terminal event. Commit-order invariants are
-    // partitioned by namespace on a service store (key = owning job;
-    // `None` = the single-tenant store or a slot outside any namespace).
-    let ns_of = |slot: u32| -> Option<u64> {
-        if service {
-            view.namespace_of_slot(slot)
-        } else {
-            None
-        }
-    };
+    // partitioned by namespace (key = owning job; `None` = a slot outside
+    // any namespace).
     let mut last_commit: BTreeMap<Option<u64>, u64> = BTreeMap::new();
     let mut newest_ring_commit: BTreeMap<Option<u64>, u64> = BTreeMap::new();
     let mut active: BTreeMap<u64, (InFlightPhase, u32)> = BTreeMap::new();
@@ -488,7 +477,7 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
                 meta_persisted.push(rec.counter);
             }
             FlightEventKind::Commit => {
-                let ns = ns_of(rec.slot);
+                let ns = view.namespace_of_slot(rec.slot);
                 if let Some(&prev) = last_commit.get(&ns) {
                     // The lock-free publish path lets two racing winners
                     // log their Commit records out of counter order (each
@@ -567,10 +556,9 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
         if newest == 0 {
             continue;
         }
-        let recovered = match ns {
-            Some(job) => view.expected_recovery_for(job).map_or(0, |m| m.counter),
-            None => expected_recovery.map_or(0, |m| m.counter),
-        };
+        let recovered = ns
+            .and_then(|job| view.expected_recovery_for(job))
+            .map_or(0, |m| m.counter);
         if recovered < newest {
             violations.push(InvariantViolation::RecoveredNotNewest { recovered, newest });
         }
@@ -578,14 +566,11 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
 
     // Invariant 5 + payload_valid: verify slot payloads against digests.
     // A delta slot's digest covers the extent table at the payload head.
-    // On a service store every namespace's recovery head is a target —
-    // one tenant's torn head is a violation even when another tenant
-    // holds the globally newest commit.
-    let recovery_targets: Vec<CheckMeta> = if service {
-        namespace_recovery.iter().filter_map(|(_, m)| *m).collect()
-    } else {
-        expected_recovery.into_iter().collect()
-    };
+    // Every namespace's recovery head is a target — one tenant's torn
+    // head is a violation even when another tenant holds the globally
+    // newest commit.
+    let recovery_targets: Vec<CheckMeta> =
+        namespace_recovery.iter().filter_map(|(_, m)| *m).collect();
     for slot in 0..view.slots {
         let Some(meta) = view.slot_meta[slot as usize] else {
             continue;
@@ -661,7 +646,7 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
 
     // Invariant 6: a delta recovery target's chain must be whole, built on
     // committed bases, and replayable to the recorded full-state digest.
-    // Every tenant's head is audited on a service store. (A framed target
+    // Every tenant's head is audited. (A framed target
     // carrying a delta link roots its own chain and replays as a frame
     // inside `replay_chain`.)
     for target in recovery_targets.iter().filter(|m| m.is_delta()) {
@@ -757,6 +742,9 @@ fn framed_table_valid(payload: &[u8], meta: &CheckMeta) -> bool {
             .is_some_and(|t| pccheck_raw_checksum(t) == meta.digest)
 }
 
+/// A dedup base checkpoint's meta record and raw slot payload.
+type BasePayload = (CheckMeta, Vec<u8>);
+
 /// Fully materializes a framed slot the way recovery would: decompresses
 /// LZ chunks, copies self-dedup references, resolves base-dedup
 /// references out of the named base slots, re-verifies every chunk's
@@ -779,7 +767,7 @@ fn replay_frame(
     let packed = payload.get(table_len..)?;
     let mut out = vec![0u8; usize::try_from(table.logical_len).ok()?];
     // Base payloads read once per referenced checkpoint, not per chunk.
-    let mut bases: BTreeMap<(u64, u32), Option<(CheckMeta, Vec<u8>)>> = BTreeMap::new();
+    let mut bases: BTreeMap<(u64, u32), Option<BasePayload>> = BTreeMap::new();
     let mut offsets = Vec::with_capacity(table.records.len());
     let mut off = 0usize;
     for r in &table.records {
@@ -812,7 +800,7 @@ fn replay_frame(
                     Some((base, buf))
                 });
                 let (base_meta, base_payload) = entry.as_ref()?;
-                let chunk = base_chunk(base_meta, base_payload, r.digest, r.b, r.logical_len)?;
+                let chunk = base_chunk(base_meta, base_payload, r.digest, r.logical_len)?;
                 out.get_mut(off..off + n)?.copy_from_slice(&chunk);
             }
         }
@@ -829,42 +817,29 @@ fn replay_frame(
 }
 
 /// Resolves one base-dedup reference from the base checkpoint's raw slot
-/// payload: a framed base answers from the materialized record matching
-/// the reference's content address; a legacy full base answers the
-/// logical byte range directly. Extent-delta bases are never valid dedup
-/// targets.
-fn base_chunk(
-    base: &CheckMeta,
-    payload: &[u8],
-    digest: u64,
-    logical_off: u64,
-    len: u64,
-) -> Option<Vec<u8>> {
-    let n = usize::try_from(len).ok()?;
-    if is_framed_payload(payload) {
-        let table = FrameTable::decode(payload)?;
-        let table_len = usize::try_from(table.encoded_len()).ok()?;
-        if pccheck_raw_checksum(payload.get(..table_len)?) != base.digest {
-            return None;
-        }
-        let packed = payload.get(table_len..)?;
-        let rec = table
-            .records
-            .iter()
-            .find(|r| r.kind.is_materialized() && r.digest == digest && r.logical_len == len)?;
-        let end = usize::try_from(rec.a.checked_add(rec.b)?).ok()?;
-        let src = packed.get(usize::try_from(rec.a).ok()?..end)?;
-        match rec.kind {
-            ChunkEncoding::Raw => Some(src.to_vec()),
-            ChunkEncoding::Lz => lz_decompress(src, n),
-            _ => None,
-        }
-    } else if base.delta.is_none() {
-        // Legacy full checkpoint: logical bytes are the physical payload.
-        let start = usize::try_from(logical_off).ok()?;
-        Some(payload.get(start..start.checked_add(n)?)?.to_vec())
-    } else {
-        None
+/// payload: the materialized record of the framed base matching the
+/// reference's content address. Dedup indexes only framed commits, so a
+/// base that is not framed never answers.
+fn base_chunk(base: &CheckMeta, payload: &[u8], digest: u64, len: u64) -> Option<Vec<u8>> {
+    if !is_framed_payload(payload) {
+        return None;
+    }
+    let table = FrameTable::decode(payload)?;
+    let table_len = usize::try_from(table.encoded_len()).ok()?;
+    if pccheck_raw_checksum(payload.get(..table_len)?) != base.digest {
+        return None;
+    }
+    let packed = payload.get(table_len..)?;
+    let rec = table
+        .records
+        .iter()
+        .find(|r| r.kind.is_materialized() && r.digest == digest && r.logical_len == len)?;
+    let end = usize::try_from(rec.a.checked_add(rec.b)?).ok()?;
+    let src = packed.get(usize::try_from(rec.a).ok()?..end)?;
+    match rec.kind {
+        ChunkEncoding::Raw => Some(src.to_vec()),
+        ChunkEncoding::Lz => lz_decompress(src, usize::try_from(len).ok()?),
+        _ => None,
     }
 }
 
@@ -1005,21 +980,16 @@ mod tests {
 
     fn flight_store(slots: u32, ring: u32) -> (Arc<dyn PersistentDevice>, CheckpointStore) {
         let cap =
-            CheckpointStore::required_capacity_with_flight(ByteSize::from_bytes(64), slots, ring);
+            CheckpointStore::required_capacity_service(ByteSize::from_bytes(64), slots, ring, 1);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let st = CheckpointStore::format_with_flight(
-            Arc::clone(&dev),
-            ByteSize::from_bytes(64),
-            slots,
-            ring,
-        )
-        .unwrap();
+        let st = CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), slots, ring)
+            .unwrap();
         (dev, st)
     }
 
     fn commit_one(st: &CheckpointStore, iter: u64, payload: &[u8]) {
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(None).unwrap();
         st.write_payload(&lease, 0, payload).unwrap();
         st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
         let digest = pccheck_raw_checksum(payload);
@@ -1056,7 +1026,7 @@ mod tests {
         for &(off, len) in ranges {
             payload.extend_from_slice(&full[off as usize..(off + len) as usize]);
         }
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(None).unwrap();
         st.write_payload(&lease, 0, &payload).unwrap();
         st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
         let link = DeltaLink {
@@ -1075,6 +1045,34 @@ mod tests {
             .unwrap(),
             CommitOutcome::Committed
         );
+    }
+
+    #[test]
+    fn old_layout_header_is_rejected() {
+        let (dev, st) = flight_store(3, 16);
+        commit_one(&st, 1, b"one");
+        drop(st);
+        // The previous layout's magic, "PCcheCk1".
+        dev.write_at(0, &0x5043_6368_6543_6B31u64.to_le_bytes())
+            .unwrap();
+        dev.persist(0, 8).unwrap();
+        assert!(matches!(audit(dev), Err(PccheckError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn owner_namespace_is_audited_like_any_other() {
+        let (dev, st) = flight_store(3, 64);
+        commit_one(&st, 1, b"one");
+        commit_one(&st, 2, b"two");
+        dev.crash_now();
+        let report = audit(Arc::clone(&dev)).unwrap();
+        assert!(report.is_clean(), "{:?}", report.violations);
+        assert_eq!(report.concurrency_limit, 2, "N+1 = 3 slots");
+        assert_eq!(report.namespace_recovery.len(), 1);
+        let (job, head) = report.namespace_recovery[0];
+        assert_eq!(job, pccheck::OWNER_JOB);
+        assert_eq!(head, report.expected_recovery);
+        assert_eq!(head.unwrap().iteration, 2);
     }
 
     #[test]
@@ -1109,7 +1107,7 @@ mod tests {
         let base = st.latest_committed().unwrap();
         // Fabricate a delta whose base pointer dangles: right counter,
         // wrong slot.
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(None).unwrap();
         let table = ExtentTable {
             full_len: 64,
             full_digest: pccheck_raw_checksum(&full),
@@ -1213,7 +1211,7 @@ mod tests {
         commit_one(&st, 1, b"one");
         // Crash between persist and commit: payload + flight records up to
         // PayloadPersisted, no metadata barrier.
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(None).unwrap();
         st.write_payload(&lease, 0, b"two").unwrap();
         st.persist_payload(&lease, 0, 3).unwrap();
         st.flight()
@@ -1242,7 +1240,7 @@ mod tests {
         commit_one(&st, 1, b"one");
         // Fabricate a protocol bug: a Commit record for a checkpoint that
         // never took the metadata barrier.
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(None).unwrap();
         st.flight()
             .record(K::Commit, lease.counter, lease.slot, 9, 3, 0);
         dev.crash_now();
@@ -1281,7 +1279,7 @@ mod tests {
         let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let st = CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3).unwrap();
+        let st = CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3, 0).unwrap();
         commit_one(&st, 1, b"one");
         dev.crash_now();
         let report = audit(Arc::clone(&dev)).unwrap();
@@ -1324,8 +1322,8 @@ mod tests {
         // windows are open when the stale record lands, so the auditor
         // must not flag a false CommitNotMonotone.
         let (dev, st) = flight_store(4, 64);
-        let lease_a = st.begin_checkpoint();
-        let lease_b = st.begin_checkpoint();
+        let lease_a = st.begin_checkpoint(None).unwrap();
+        let lease_b = st.begin_checkpoint(None).unwrap();
         for (lease, payload) in [(&lease_a, b"aa"), (&lease_b, b"bb")] {
             st.write_payload(lease, 0, payload).unwrap();
             st.persist_payload(lease, 0, 2).unwrap();
@@ -1380,7 +1378,7 @@ mod tests {
         let forged = pccheck::SlotState::Committed {
             counter: head.counter + 10,
         };
-        let off = st.slot_state_offset(head.slot).unwrap();
+        let off = st.slot_state_offset(head.slot);
         dev.write_at(off, &forged.encode()).unwrap();
         dev.persist(off, pccheck::SLOT_STATE_SIZE).unwrap();
         dev.crash_now();
@@ -1404,9 +1402,9 @@ mod tests {
         let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let st = CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3).unwrap();
+        let st = CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3, 0).unwrap();
         commit_one(&st, 1, b"one");
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(None).unwrap();
         let (counter, slot) = (lease.counter, lease.slot);
         std::mem::forget(lease);
         dev.crash_now();
@@ -1452,7 +1450,7 @@ mod tests {
     }
 
     fn commit_job(st: &CheckpointStore, job: u64, iter: u64, payload: &[u8]) {
-        let lease = st.begin_checkpoint_job(job).unwrap();
+        let lease = st.begin_checkpoint(Some(job)).unwrap();
         st.write_payload(&lease, 0, payload).unwrap();
         st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
         let digest = pccheck_raw_checksum(payload);
@@ -1473,7 +1471,7 @@ mod tests {
         st.allocate_namespace(1, 3).unwrap();
         st.allocate_namespace(2, 3).unwrap();
         // Lease job 1 first (lower counter), commit it after job 2.
-        let lease1 = st.begin_checkpoint_job(1).unwrap();
+        let lease1 = st.begin_checkpoint(Some(1)).unwrap();
         commit_job(&st, 2, 7, b"job2-a");
         st.write_payload(&lease1, 0, b"job1-a").unwrap();
         st.persist_payload(&lease1, 0, 6).unwrap();
@@ -1484,7 +1482,7 @@ mod tests {
         dev.crash_now();
         let report = audit(Arc::clone(&dev)).unwrap();
         assert!(report.is_clean(), "{:?}", report.violations);
-        assert_eq!(report.concurrency_limit, 6, "service bound is `slots`");
+        assert_eq!(report.concurrency_limit, 4, "two namespaces of N+1 = 3");
         let heads: BTreeMap<u64, u64> = report
             .namespace_recovery
             .iter()
@@ -1522,7 +1520,7 @@ mod tests {
         commit_job(&st, 1, 1, b"one");
         // Fabricate a ring Commit for a counter job 1's durable pointer
         // never reached: per-namespace invariant 4 must trip.
-        let lease = st.begin_checkpoint_job(1).unwrap();
+        let lease = st.begin_checkpoint(Some(1)).unwrap();
         st.flight()
             .record(K::MetaPersisted, lease.counter, lease.slot, 2, 3, 0);
         st.flight()
@@ -1647,7 +1645,7 @@ mod tests {
         // A small stripe forces the header, CHECK_ADDR, slot metadata, and
         // flight ring to interleave across both members, so RawStoreView's
         // durable reads must reassemble every structure from extents.
-        let cap = CheckpointStore::required_capacity_with_flight(ByteSize::from_bytes(64), 3, 64);
+        let cap = CheckpointStore::required_capacity_service(ByteSize::from_bytes(64), 3, 64, 1);
         let members: Vec<Arc<dyn PersistentDevice>> = (0..2)
             .map(|_| {
                 Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)))
@@ -1657,8 +1655,7 @@ mod tests {
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(StripedDevice::new(members, ByteSize::from_bytes(256)));
         let st =
-            CheckpointStore::format_with_flight(Arc::clone(&dev), ByteSize::from_bytes(64), 3, 64)
-                .unwrap();
+            CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3, 64).unwrap();
         for i in 1..=3 {
             commit_one(&st, i, format!("s{i}").as_bytes());
         }

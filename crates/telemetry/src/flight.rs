@@ -715,7 +715,7 @@ mod tests {
         rec.record(FlightEventKind::Begin, 1, 0, 0, 0, 0);
         rec.record_run(FlightEventKind::RunStart, 0);
         assert!(rec.ring().is_none());
-        assert_eq!(FlightRecorder::default().is_enabled(), false);
+        assert!(!FlightRecorder::default().is_enabled());
     }
 
     #[test]

@@ -1048,8 +1048,8 @@ pub fn render_diff(d: &ProfileDiff) -> String {
     );
     let _ = writeln!(
         out,
-        "  {:<14} {:>10} {:>10} {:>8} {:>8}  {}",
-        "phase", "base", "cand", "share", "share'", "verdict"
+        "  {:<14} {:>10} {:>10} {:>8} {:>8}  verdict",
+        "phase", "base", "cand", "share", "share'"
     );
     for p in &d.phases {
         let _ = writeln!(

@@ -208,8 +208,7 @@ fn cmd_info(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     for slot in 0..store.num_slots() {
         let word = match view.slot_state.get(slot as usize).copied().flatten() {
             Some(state) => state.to_string(),
-            None if view.state_words => "torn/absent".to_string(),
-            None => "-".to_string(),
+            None => "torn".to_string(),
         };
         println!(
             "  slot {:>3} state {:<14} outcome {}",
@@ -299,16 +298,11 @@ fn cmd_crashdemo(path: &str, point_name: &str) -> Result<(), Box<dyn std::error:
     let point = CrashPoint::from_name(point_name)
         .ok_or_else(|| format!("unknown crash point {point_name:?} (see usage)"))?;
     let state = ByteSize::from_bytes(CRASH_STATE_BYTES);
-    let cap = CheckpointStore::required_capacity_with_flight(state, SLOTS, CRASH_FLIGHT_RECORDS)
+    let cap = CheckpointStore::required_capacity_service(state, SLOTS, CRASH_FLIGHT_RECORDS, 1)
         + ByteSize::from_kb(4);
     let device: Arc<dyn PersistentDevice> =
         Arc::new(FileDevice::create(path, DeviceConfig::fast_for_tests(cap))?);
-    let store = CheckpointStore::format_with_flight(
-        Arc::clone(&device),
-        state,
-        SLOTS,
-        CRASH_FLIGHT_RECORDS,
-    )?;
+    let store = CheckpointStore::format(Arc::clone(&device), state, SLOTS, CRASH_FLIGHT_RECORDS)?;
     let baseline = commit_checkpoint(&store, 100, &synthetic_payload(100, CRASH_STATE_BYTES))?;
     println!("committed baseline checkpoint #{baseline} (iteration 100)");
     let (counter, slot) = drive_to_crash_point(
@@ -349,7 +343,7 @@ fn cmd_device(path: &str, ways: u32) -> Result<(), Box<dyn std::error::Error>> {
         let mut members: Vec<Arc<dyn PersistentDevice>> = Vec::new();
         for i in 0..ways {
             members.push(Arc::new(FileDevice::create(
-                &format!("{path}.m{i}"),
+                format!("{path}.m{i}"),
                 device_config(),
             )?));
         }

@@ -49,8 +49,9 @@ fn fresh_store(slots: u32) -> (Arc<dyn PersistentDevice>, Arc<CheckpointStore>) 
     let cap = CheckpointStore::required_capacity(state, slots) + ByteSize::from_kb(4);
     let device: Arc<dyn PersistentDevice> =
         Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-    let store =
-        Arc::new(CheckpointStore::format(Arc::clone(&device), state, slots).expect("format store"));
+    let store = Arc::new(
+        CheckpointStore::format(Arc::clone(&device), state, slots, 0).expect("format store"),
+    );
     (device, store)
 }
 

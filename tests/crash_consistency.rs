@@ -135,7 +135,7 @@ fn repeated_crash_recover_cycles_never_regress() {
     for cycle in 0..5 {
         let dev: Arc<dyn PersistentDevice> = ssd.clone();
         let store = if cycle == 0 {
-            CheckpointStore::format(dev, size, 3).expect("format")
+            CheckpointStore::format(dev, size, 3, 0).expect("format")
         } else {
             CheckpointStore::open(dev).expect("reopen")
         };
@@ -288,7 +288,7 @@ fn forensic_verdicts_match_actual_recovery_at_every_crash_point() {
 #[test]
 fn engine_crash_with_flight_ring_audits_clean() {
     let size = ByteSize::from_bytes(STATE);
-    let cap = CheckpointStore::required_capacity_with_flight(size, 3, 128) + ByteSize::from_kb(4);
+    let cap = CheckpointStore::required_capacity_service(size, 3, 128, 1) + ByteSize::from_kb(4);
     let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
     let dev: Arc<dyn PersistentDevice> = ssd.clone();
     let gpu = Gpu::new(

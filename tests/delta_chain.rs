@@ -20,7 +20,7 @@ fn store_on(slots: u32) -> (Arc<SsdDevice>, Arc<CheckpointStore>) {
     let cap = CheckpointStore::required_capacity(size, slots) + ByteSize::from_kb(4);
     let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
     let dev: Arc<dyn PersistentDevice> = ssd.clone();
-    let store = Arc::new(CheckpointStore::format(dev, size, slots).expect("format"));
+    let store = Arc::new(CheckpointStore::format(dev, size, slots, 0).expect("format"));
     (ssd, store)
 }
 
@@ -68,7 +68,7 @@ fn delta_chain_restore_is_bit_identical_to_full_checkpoints() {
             .expect("delta checkpoint");
         saw_delta |= matches!(kind, DeltaOutcome::Delta { .. });
 
-        let lease = pipe_b.lease(ctx);
+        let lease = pipe_b.lease_for(ctx, None).unwrap();
         let persist_start = pipe_b
             .copy_streamed(ctx, &guard, &lease, total)
             .expect("full copy");

@@ -9,16 +9,17 @@
 //! * one tenant's in-flight work never corrupts — or rolls back — the
 //!   other tenant's committed state,
 //! * the audit's per-namespace recovery prediction matches what
-//!   `recover_job` actually restores.
+//!   job-scoped recovery actually restores.
 
 use std::sync::Arc;
 
 use pccheck::{
-    recovery, CheckpointStore, PcCheckConfig, PcCheckEngine, PccheckError, PersistPipeline,
-    QosArbiter, QosConfig,
+    recover_instrumented_with, recovery, CheckpointStore, PcCheckConfig, PcCheckEngine,
+    PccheckError, PersistPipeline, QosArbiter, QosConfig, RestoreOptions,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
+use pccheck_telemetry::Telemetry;
 use pccheck_util::ByteSize;
 
 const STATE: u64 = 4096;
@@ -101,8 +102,16 @@ fn check_namespace(t: &Tenants, job: u64, issued_max: u64) -> Option<u64> {
         .iter()
         .find(|(j, _)| *j == job)
         .and_then(|(_, m)| *m);
-    match recovery::recover_job(t.ssd.clone() as Arc<dyn PersistentDevice>, job) {
-        Ok(rec) => {
+    let options = RestoreOptions {
+        job: Some(job),
+        ..RestoreOptions::default()
+    };
+    match recover_instrumented_with(
+        t.ssd.clone() as Arc<dyn PersistentDevice>,
+        &Telemetry::disabled(),
+        options,
+    ) {
+        Ok((rec, _)) => {
             assert!(
                 rec.iteration <= issued_max,
                 "job {job} recovered iteration {} > issued {issued_max}",

@@ -22,7 +22,7 @@ fn store_on(slots: u32) -> (Arc<SsdDevice>, Arc<CheckpointStore>) {
     let cap = CheckpointStore::required_capacity(size, slots) + ByteSize::from_kb(4);
     let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
     let dev: Arc<dyn PersistentDevice> = ssd.clone();
-    let store = Arc::new(CheckpointStore::format(dev, size, slots).expect("format"));
+    let store = Arc::new(CheckpointStore::format(dev, size, slots, 0).expect("format"));
     (ssd, store)
 }
 
@@ -70,7 +70,7 @@ fn parallel_and_sequential_recovery_agree_on_full_checkpoints() {
         let guard = gpu.lock_weights_shared();
         let digest = guard.digest();
         let total = guard.size();
-        let lease = pipe.lease(ctx);
+        let lease = pipe.lease_for(ctx, None).unwrap();
         let persist_start = pipe
             .copy_streamed(ctx, &guard, &lease, total)
             .expect("full copy");
