@@ -232,9 +232,9 @@ fn run_family(
     }
 }
 
-/// Commits a chunk-framed checkpoint of `payload` through `pipeline`
-/// (job-scoped when `job` is set). Panics if the codec declines — the
-/// crash legs feed tiled payloads precisely so framing always engages.
+/// Commits a codec frame of `payload` through `pipeline` (job-scoped when
+/// `job` is set). The crash legs feed tiled payloads so the codec always
+/// compresses and deduplicates.
 fn commit_framed(
     pipeline: &PersistPipeline,
     job: Option<JobId>,
@@ -256,7 +256,7 @@ fn commit_framed(
     let counter = lease.counter;
     let plan = pipeline
         .copy_framed(ctx, &src, &lease, total, digest, POLICY)?
-        .expect("tiled payload must frame");
+        .expect("copy_framed always frames");
     pipeline.seal(
         ctx,
         &lease,

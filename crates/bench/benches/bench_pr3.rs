@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use pccheck::{CheckpointStore, PersistPipeline, PipelineCtx};
+use pccheck::{CheckpointStore, FrameMode, PersistPipeline, PipelineCtx};
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice};
 use pccheck_gpu::{HostSnapshot, SnapshotSource};
 use pccheck_telemetry::Telemetry;
@@ -94,14 +94,18 @@ fn measure(ways: u32) -> WaysResult {
         let total = src.size();
         let digest = src.digest();
         let lease = pipeline.lease_for(ctx, None).expect("owner namespace");
-        let persist_start = pipeline
-            .copy_staged(ctx, &src, &lease, total)
+        let staged = FrameMode {
+            staged: true,
+            codec: None,
+        };
+        let plan = pipeline
+            .copy_frame(ctx, &src, &lease, total, digest.0, staged)
             .expect("staged copy on healthy device");
         pipeline
-            .seal(ctx, &lease, iteration, total, persist_start)
+            .seal(ctx, &lease, iteration, total, plan.persist_start)
             .expect("seal on healthy device");
         pipeline
-            .commit(ctx, lease, iteration, total.as_u64(), digest.0)
+            .commit_framed(ctx, lease, iteration, &plan)
             .expect("commit on healthy device");
     };
 

@@ -1,24 +1,38 @@
-//! Persist-path chunk codec: entropy-gated LZ compression, content-defined
-//! dedup, and the chunk-framing slot format that carries both.
+//! The slot format every committed checkpoint shares — a *frame log* —
+//! and the persist-path codec that picks each record's kind:
+//! entropy-gated LZ compression and content-addressed dedup.
 //!
 //! # Frame layout
 //!
-//! A framed slot's payload is `[frame table][packed physical chunks]`. The
-//! table comes first — exactly like the delta path's extent table — so
-//! recovery can classify a slot from its payload prefix alone: `XTB1` means
-//! extent delta, [`FRAME_MAGIC`] means framed, anything else is a legacy
-//! raw payload. The table header binds the frame to its commit (checkpoint
-//! counter), names the logical (uncompressed) payload length and the
-//! end-to-end digest of the reconstructed state, and is sealed by a folded
-//! FNV-1a CRC over header + records so a torn table write is detected
-//! before any chunk is trusted.
+//! This module is the only one that knows where a frame's parts sit. A
+//! slot's payload area holds the packed records, then the frame table:
+//!
+//! ```text
+//! slot payload area (store.rs: slot_size + table room)
+//! +--------------------------------------+  0
+//! | packed records                       |  Raw/Lz bytes at their `a`
+//! | (meta.payload_len bytes)             |  (physical) offsets
+//! +--------------------------------------+  meta.payload_len
+//! | frame table                          |  header, records, FNV CRC —
+//! | (FrameTable::encoded_len)            |  written after the records
+//! +--------------------------------------+
+//! | unused table room                    |  sized by `frame_capacity`
+//! +--------------------------------------+
+//! ```
+//!
+//! The table is written *after* the records it describes and is bound to
+//! its commit by the checkpoint counter; the commit record's digest is the
+//! end-to-end digest of the reconstructed state. A frame is read back with
+//! [`read_frame`], planned into [`RecordRead`]s with [`FrameTable::reads`],
+//! and each read resolved and verified with [`RecordRead::resolve`] — the
+//! one resolver both recovery and the forensic auditor call.
 //!
 //! Each [`FrameRecord`] describes one logical chunk, in logical order:
 //!
-//! - [`ChunkEncoding::Raw`] — stored verbatim at `phys_off..+phys_len` in
-//!   the packed region (`phys_len == logical_len`).
-//! - [`ChunkEncoding::Lz`] — stored LZ-compressed (`phys_len <
-//!   logical_len`); see the block format below.
+//! - [`ChunkEncoding::Raw`] — stored verbatim at `a..a+b` of the slot's
+//!   payload area (`b == logical_len`).
+//! - [`ChunkEncoding::Lz`] — stored LZ-compressed (`b < logical_len`); see
+//!   the block format below.
 //! - [`ChunkEncoding::DedupSelf`] — byte-identical to an *earlier*
 //!   materialized chunk of this same frame; stores only its index.
 //! - [`ChunkEncoding::DedupBase`] — byte-identical to a materialized chunk
@@ -26,8 +40,13 @@
 //!   pins the base exactly like a delta chain does, so the referenced
 //!   bytes cannot be recycled while this checkpoint is live.
 //!
+//! A checkpoint persisted without the codec is an all-`Raw` frame whose
+//! records sit at their logical offsets ([`RawFrame`]), so its packed
+//! region *is* the state image. The codec only chooses record kinds; it
+//! never changes the format.
+//!
 //! Every record carries the [`chunk_digest`] content address of its
-//! logical bytes: restore verifies each chunk as it materializes, so a
+//! logical bytes: restore verifies each record as it materializes, so a
 //! stale or torn reference is detected (and the candidate discarded) —
 //! never silently accepted.
 //!
@@ -54,7 +73,7 @@
 //!
 //! The [`DedupIndex`] holds one *generation* per job: the content
 //! addresses of the **materialized** (Raw/Lz) chunks of that job's latest
-//! framed commit. Installing the next commit's generation evicts the
+//! frame. Installing the next commit's generation evicts the
 //! previous one wholesale, so a reference produced by a lookup is always
 //! depth-≤1: it points at bytes physically present in the immediate base
 //! checkpoint, never at a chain of references. Entries are capped per
@@ -62,20 +81,35 @@
 
 use std::collections::HashMap;
 
-use pccheck_util::fnv::{chunk_digest, fnv1a, fnv1a_fold, FNV_SEED};
+use pccheck_util::fnv::{chunk_digest, fnv1a, fnv1a_fold, ChunkDigester, FNV_SEED};
 
-/// Frame table magic: ASCII `PCFRAME1` (little-endian `u64`).
-pub const FRAME_MAGIC: u64 = u64::from_le_bytes(*b"PCFRAME1");
+use crate::meta::CheckMeta;
+
+/// Frame table magic: ASCII `PCFRAME2` (little-endian `u64`).
+pub const FRAME_MAGIC: u64 = u64::from_le_bytes(*b"PCFRAME2");
 
 /// Encoded frame header size: magic, count, version, counter,
-/// `logical_len`, `full_digest`.
-pub const FRAME_HEADER: usize = 40;
+/// `logical_len`.
+pub const FRAME_HEADER: usize = 32;
 
 /// Encoded size of one [`FrameRecord`].
 pub const FRAME_RECORD_SIZE: usize = 40;
 
 /// Frame format version.
-pub const FRAME_VERSION: u32 = 1;
+pub const FRAME_VERSION: u32 = 2;
+
+/// A slot of `s` packed bytes has table room for `ceil(s / 4096)` records
+/// (about 1% of the slot), and never fewer than [`MIN_FRAME_RECORDS`].
+const RECORD_GRAIN: u64 = 4096;
+
+/// Table capacity floor, so small slots cut into small chunks still get a
+/// record per chunk.
+const MIN_FRAME_RECORDS: usize = 64;
+
+/// Record granularity of frames written from one whole buffer (the
+/// store-level [`CheckpointStore::write_whole_frame`](crate::CheckpointStore::write_whole_frame)
+/// and the whole-buffer baselines).
+pub const WHOLE_RECORD: u64 = 1 << 20;
 
 /// Shortest match the LZ coder emits.
 pub const MIN_MATCH: usize = 4;
@@ -91,38 +125,45 @@ pub const ENTROPY_SKIP_BITS: f64 = 7.2;
 /// A kept compressed chunk must save at least `logical/16` bytes.
 const MIN_GAIN_SHIFT: u32 = 4;
 
-/// How one logical chunk is stored in the frame's packed region.
+/// Records a frame table may hold in a slot of `slot_size` packed bytes.
+pub fn frame_capacity(slot_size: u64) -> usize {
+    usize::try_from(slot_size.div_ceil(RECORD_GRAIN))
+        .unwrap_or(usize::MAX)
+        .max(MIN_FRAME_RECORDS)
+}
+
+/// Bytes a slot reserves after its packed region for a table of
+/// `capacity` records.
+pub fn table_room(capacity: usize) -> u64 {
+    FrameTable::encoded_len_for(capacity)
+}
+
+/// How one logical chunk is stored in the frame's packed region (the
+/// discriminant is the record's on-device kind word).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u32)]
 pub enum ChunkEncoding {
-    /// Verbatim bytes at `phys_off..+phys_len`.
-    Raw,
-    /// LZ-compressed bytes at `phys_off..+phys_len`.
-    Lz,
+    /// Verbatim bytes at `a..a+b`.
+    Raw = 0,
+    /// LZ-compressed bytes at `a..a+b`.
+    Lz = 1,
     /// Byte-identical to an earlier materialized chunk of this frame.
-    DedupSelf,
+    DedupSelf = 2,
     /// Byte-identical to a materialized chunk of the base checkpoint
     /// named by the commit's `DeltaLink`.
-    DedupBase,
+    DedupBase = 3,
 }
 
 impl ChunkEncoding {
-    fn to_u32(self) -> u32 {
-        match self {
-            ChunkEncoding::Raw => 0,
-            ChunkEncoding::Lz => 1,
-            ChunkEncoding::DedupSelf => 2,
-            ChunkEncoding::DedupBase => 3,
-        }
-    }
-
     fn from_u32(v: u32) -> Option<ChunkEncoding> {
-        match v {
-            0 => Some(ChunkEncoding::Raw),
-            1 => Some(ChunkEncoding::Lz),
-            2 => Some(ChunkEncoding::DedupSelf),
-            3 => Some(ChunkEncoding::DedupBase),
-            _ => None,
-        }
+        [
+            ChunkEncoding::Raw,
+            ChunkEncoding::Lz,
+            ChunkEncoding::DedupSelf,
+            ChunkEncoding::DedupBase,
+        ]
+        .get(usize::try_from(v).ok()?)
+        .copied()
     }
 
     /// Whether the chunk's bytes are physically present in this frame.
@@ -141,8 +182,7 @@ impl ChunkEncoding {
 /// | DedupSelf  | referenced index  | 0              | 0                    |
 /// | DedupBase  | base slot         | base counter   | base logical offset  |
 ///
-/// Physical offsets are relative to the start of the packed region (the
-/// byte right after the encoded table).
+/// Physical offsets are relative to the start of the slot's payload area.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameRecord {
     /// Storage class of this chunk.
@@ -159,16 +199,54 @@ pub struct FrameRecord {
     pub digest: u64,
 }
 
-/// The frame table at the head of a framed slot's payload.
+impl FrameRecord {
+    /// A chunk of `logical_len` bytes stored (`Raw` or `Lz`) at
+    /// `off..off+len` of the slot's payload area.
+    pub fn stored(kind: ChunkEncoding, off: u64, len: u64, logical_len: u64, digest: u64) -> Self {
+        debug_assert!(kind.is_materialized());
+        FrameRecord {
+            kind,
+            aux: 0,
+            logical_len,
+            a: off,
+            b: len,
+            digest,
+        }
+    }
+
+    /// A chunk that repeats materialized record `index` of the same frame.
+    pub fn dedup_self(index: usize, logical_len: u64, digest: u64) -> Self {
+        FrameRecord {
+            kind: ChunkEncoding::DedupSelf,
+            aux: index as u32,
+            logical_len,
+            a: 0,
+            b: 0,
+            digest,
+        }
+    }
+
+    /// A chunk that repeats the base checkpoint's materialized record
+    /// `hit` names.
+    pub fn dedup_base(hit: DedupHit, logical_len: u64, digest: u64) -> Self {
+        FrameRecord {
+            kind: ChunkEncoding::DedupBase,
+            aux: hit.slot,
+            logical_len,
+            a: hit.counter,
+            b: hit.logical_off,
+            digest,
+        }
+    }
+}
+
+/// The frame table after a slot's packed records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameTable {
     /// Checkpoint counter this frame belongs to (binds table to commit).
     pub counter: u64,
     /// Total logical payload length the records reconstruct.
     pub logical_len: u64,
-    /// End-to-end digest of the reconstructed logical payload, in the
-    /// same discipline the commit's caller used (state or raw FNV).
-    pub full_digest: u64,
     /// Per-chunk records in logical order.
     pub records: Vec<FrameRecord>,
 }
@@ -189,24 +267,9 @@ impl FrameTable {
         self.records
             .iter()
             .filter(|r| r.kind.is_materialized())
-            .map(|r| r.a + r.b)
+            .map(|r| r.a.saturating_add(r.b))
             .max()
             .unwrap_or(0)
-    }
-
-    /// Total slot payload footprint: table + packed region.
-    pub fn physical_len(&self) -> u64 {
-        self.encoded_len() + self.packed_len()
-    }
-
-    /// Sum of the logical lengths of deduplicated (non-materialized)
-    /// chunks — the bytes dedup saved.
-    pub fn dedup_bytes(&self) -> u64 {
-        self.records
-            .iter()
-            .filter(|r| !r.kind.is_materialized())
-            .map(|r| r.logical_len)
-            .sum()
     }
 
     /// Whether any record references the base checkpoint (the commit must
@@ -217,6 +280,12 @@ impl FrameTable {
             .any(|r| r.kind == ChunkEncoding::DedupBase)
     }
 
+    /// Whether every record is stored verbatim — a frame the codec did
+    /// not touch, which per-record content addresses verify completely.
+    pub fn is_raw(&self) -> bool {
+        self.records.iter().all(|r| r.kind == ChunkEncoding::Raw)
+    }
+
     /// Serializes the table: header, records, trailing FNV-1a CRC.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len() as usize);
@@ -225,9 +294,8 @@ impl FrameTable {
         out.extend_from_slice(&FRAME_VERSION.to_le_bytes());
         out.extend_from_slice(&self.counter.to_le_bytes());
         out.extend_from_slice(&self.logical_len.to_le_bytes());
-        out.extend_from_slice(&self.full_digest.to_le_bytes());
         for r in &self.records {
-            out.extend_from_slice(&r.kind.to_u32().to_le_bytes());
+            out.extend_from_slice(&(r.kind as u32).to_le_bytes());
             out.extend_from_slice(&r.aux.to_le_bytes());
             out.extend_from_slice(&r.logical_len.to_le_bytes());
             out.extend_from_slice(&r.a.to_le_bytes());
@@ -239,74 +307,330 @@ impl FrameTable {
         out
     }
 
-    /// Decodes a table from the head of `buf` (trailing packed bytes are
+    /// Writes the encoded table where [`read_frame`] looks for it: right
+    /// after `packed_len` bytes of records. `write(offset, bytes)` takes a
+    /// payload-area offset. Returns the table's encoded length.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `write`'s error.
+    pub fn write_after<E>(
+        &self,
+        packed_len: u64,
+        write: impl FnOnce(u64, &[u8]) -> Result<(), E>,
+    ) -> Result<u64, E> {
+        let bytes = self.encode();
+        write(packed_len, &bytes)?;
+        Ok(bytes.len() as u64)
+    }
+
+    /// Decodes a table from the head of `buf` (trailing bytes are
     /// ignored). `None` on bad magic, impossible count, CRC mismatch, an
     /// unknown record kind, a self-reference that is not a backward
-    /// pointer at a materialized chunk, or records whose logical lengths
-    /// do not sum to `logical_len` — the advisory-table discipline:
+    /// pointer at a materialized chunk of equal length and digest, or
+    /// records whose logical lengths do not sum to `logical_len` —
     /// callers fall back rather than trust a damaged frame.
     pub fn decode(buf: &[u8]) -> Option<FrameTable> {
         if buf.len() < FRAME_HEADER + 8 {
             return None;
         }
-        if u64::from_le_bytes(buf[0..8].try_into().expect("8 bytes")) != FRAME_MAGIC {
+        let word = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"));
+        let half = |at: usize| u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes"));
+        if word(0) != FRAME_MAGIC || half(12) != FRAME_VERSION {
             return None;
         }
-        let count = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes")) as usize;
-        if u32::from_le_bytes(buf[12..16].try_into().expect("4 bytes")) != FRAME_VERSION {
-            return None;
-        }
-        let table_len = Self::encoded_len_for(count) as usize;
+        let count = half(8) as usize;
+        let table_len = usize::try_from(Self::encoded_len_for(count)).ok()?;
         if table_len > buf.len() {
             return None;
         }
         let crc_off = table_len - 8;
-        let stored = u64::from_le_bytes(buf[crc_off..table_len].try_into().expect("8 bytes"));
-        if fnv1a(&buf[..crc_off]) != stored {
+        if fnv1a(&buf[..crc_off]) != word(crc_off) {
             return None;
         }
-        let counter = u64::from_le_bytes(buf[16..24].try_into().expect("8 bytes"));
-        let logical_len = u64::from_le_bytes(buf[24..32].try_into().expect("8 bytes"));
-        let full_digest = u64::from_le_bytes(buf[32..40].try_into().expect("8 bytes"));
-        let mut records = Vec::with_capacity(count);
-        let mut off = FRAME_HEADER;
+        let counter = word(16);
+        let logical_len = word(24);
+        let mut records: Vec<FrameRecord> = Vec::with_capacity(count);
         let mut logical_sum = 0u64;
         for i in 0..count {
-            let kind = ChunkEncoding::from_u32(u32::from_le_bytes(
-                buf[off..off + 4].try_into().expect("4 bytes"),
-            ))?;
-            let aux = u32::from_le_bytes(buf[off + 4..off + 8].try_into().expect("4 bytes"));
+            let off = FRAME_HEADER + i * FRAME_RECORD_SIZE;
             let r = FrameRecord {
-                kind,
-                aux,
-                logical_len: u64::from_le_bytes(buf[off + 8..off + 16].try_into().expect("8")),
-                a: u64::from_le_bytes(buf[off + 16..off + 24].try_into().expect("8")),
-                b: u64::from_le_bytes(buf[off + 24..off + 32].try_into().expect("8")),
-                digest: u64::from_le_bytes(buf[off + 32..off + 40].try_into().expect("8")),
+                kind: ChunkEncoding::from_u32(half(off))?,
+                aux: half(off + 4),
+                logical_len: word(off + 8),
+                a: word(off + 16),
+                b: word(off + 24),
+                digest: word(off + 32),
             };
-            if kind == ChunkEncoding::DedupSelf {
-                let target = aux as usize;
-                if target >= i {
-                    return None;
-                }
-                let t: &FrameRecord = &records[target];
-                if !t.kind.is_materialized() || t.logical_len != r.logical_len {
+            if r.kind == ChunkEncoding::DedupSelf {
+                let t = records.get(r.aux as usize)?;
+                if !t.kind.is_materialized()
+                    || t.logical_len != r.logical_len
+                    || t.digest != r.digest
+                {
                     return None;
                 }
             }
             logical_sum = logical_sum.checked_add(r.logical_len)?;
             records.push(r);
-            off += FRAME_RECORD_SIZE;
         }
-        if logical_sum != logical_len {
-            return None;
-        }
-        Some(FrameTable {
+        (logical_sum == logical_len).then_some(FrameTable {
             counter,
             logical_len,
-            full_digest,
             records,
         })
+    }
+
+    /// Each record's logical offset, in record order.
+    fn logical_offsets(&self) -> Vec<u64> {
+        let mut off = 0u64;
+        self.records
+            .iter()
+            .map(|r| {
+                let at = off;
+                off += r.logical_len;
+                at
+            })
+            .collect()
+    }
+
+    /// Plans the reads that reconstruct this frame (stored in `slot`):
+    /// one per materialized record — carrying the offsets of every
+    /// `DedupSelf` record that copies it — plus one per distinct base
+    /// record a `DedupBase` record names. `base(slot, counter)` returns the
+    /// committed frame of the named base checkpoint (`None` when there is
+    /// none); it is asked once per base.
+    ///
+    /// `None` when a base is missing, or a base reference does not land
+    /// on a materialized base record of equal length and digest — a
+    /// reference is depth-≤1 by construction, so anything else is forged
+    /// or stale.
+    pub fn reads(
+        &self,
+        slot: u32,
+        base: &mut dyn FnMut(u32, u64) -> Option<FrameTable>,
+    ) -> Option<Vec<RecordRead>> {
+        let mut reads: Vec<RecordRead> = self
+            .records
+            .iter()
+            .zip(self.logical_offsets())
+            .filter(|(r, _)| r.kind.is_materialized())
+            .map(|(r, off)| RecordRead {
+                slot,
+                kind: r.kind,
+                phys_off: r.a,
+                phys_len: r.b,
+                len: r.logical_len,
+                digest: r.digest,
+                targets: vec![off],
+            })
+            .collect();
+        let mut read_of_record = Vec::with_capacity(self.records.len());
+        // A base frame with each record's logical offset.
+        type Indexed = (FrameTable, Vec<u64>);
+        let mut bases: HashMap<(u32, u64), Option<Indexed>> = HashMap::new();
+        let mut base_reads: HashMap<(u32, u64, u64), usize> = HashMap::new();
+        let mut materialized = 0usize;
+        for (r, off) in self.records.iter().zip(self.logical_offsets()) {
+            read_of_record.push(materialized);
+            match r.kind {
+                ChunkEncoding::Raw | ChunkEncoding::Lz => materialized += 1,
+                // Decode checked the target is an earlier materialized
+                // record with this length and digest.
+                ChunkEncoding::DedupSelf => reads[read_of_record[r.aux as usize]].targets.push(off),
+                ChunkEncoding::DedupBase => {
+                    let key = (r.aux, r.a, r.b);
+                    let at = match base_reads.get(&key) {
+                        Some(&at) => at,
+                        None => {
+                            let (table, offsets) = bases
+                                .entry((r.aux, r.a))
+                                .or_insert_with(|| {
+                                    base(r.aux, r.a).map(|t| {
+                                        let offsets = t.logical_offsets();
+                                        (t, offsets)
+                                    })
+                                })
+                                .as_ref()?;
+                            let src = &table.records[offsets.binary_search(&r.b).ok()?];
+                            if !src.kind.is_materialized()
+                                || src.logical_len != r.logical_len
+                                || src.digest != r.digest
+                            {
+                                return None;
+                            }
+                            reads.push(RecordRead {
+                                slot: r.aux,
+                                kind: src.kind,
+                                phys_off: src.a,
+                                phys_len: src.b,
+                                len: r.logical_len,
+                                digest: r.digest,
+                                targets: Vec::new(),
+                            });
+                            base_reads.insert(key, reads.len() - 1);
+                            reads.len() - 1
+                        }
+                    };
+                    reads[at].targets.push(off);
+                }
+            }
+        }
+        Some(reads)
+    }
+}
+
+/// Reads durable slot bytes for the frame resolver: `read(slot, offset,
+/// buf)` fills `buf` from `offset` bytes into `slot`'s payload area and
+/// returns `false` on a device fault.
+pub type SlotRead<'a> = dyn FnMut(u32, u64, &mut [u8]) -> bool + 'a;
+
+/// Reads the frame table of the committed checkpoint `meta` from right
+/// after its packed records and binds it to the commit: `None` unless it
+/// decodes (magic, CRC, record invariants), holds at most `capacity`
+/// records, carries `meta`'s counter, and keeps every materialized record
+/// inside the `meta.payload_len` packed bytes. A slot that holds no frame
+/// (an extent delta), a torn table, or a stale table from an earlier
+/// checkpoint in the slot all read as `None`.
+pub fn read_frame(
+    read: &mut SlotRead<'_>,
+    meta: &CheckMeta,
+    capacity: usize,
+) -> Option<FrameTable> {
+    let mut head = [0u8; FRAME_HEADER];
+    if !read(meta.slot, meta.payload_len, &mut head) {
+        return None;
+    }
+    let count = u32::from_le_bytes(head[8..12].try_into().expect("4 bytes")) as usize;
+    if u64::from_le_bytes(head[..8].try_into().expect("8 bytes")) != FRAME_MAGIC || count > capacity
+    {
+        return None;
+    }
+    let mut buf = vec![0u8; usize::try_from(FrameTable::encoded_len_for(count)).ok()?];
+    buf[..FRAME_HEADER].copy_from_slice(&head);
+    if !read(
+        meta.slot,
+        meta.payload_len + FRAME_HEADER as u64,
+        &mut buf[FRAME_HEADER..],
+    ) {
+        return None;
+    }
+    let table = FrameTable::decode(&buf)?;
+    (table.counter == meta.counter && table.packed_len() <= meta.payload_len).then_some(table)
+}
+
+/// One verified restore read: a materialized record's bytes — in this
+/// frame's slot, or in the base checkpoint's for a base reference —
+/// fetched once and delivered to every logical offset that holds them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecordRead {
+    /// Slot holding the stored bytes.
+    pub slot: u32,
+    /// `Raw` or `Lz`.
+    pub kind: ChunkEncoding,
+    /// Offset of the stored bytes in the slot's payload area.
+    pub phys_off: u64,
+    /// Stored length.
+    pub phys_len: u64,
+    /// Logical length.
+    pub len: u64,
+    /// Content address the logical bytes must match.
+    pub digest: u64,
+    /// Logical offsets (in the frame being restored) that hold these bytes.
+    pub targets: Vec<u64>,
+}
+
+impl RecordRead {
+    /// Reads the stored bytes (into `scratch` when they are `Lz`, and
+    /// decompresses them), then checks the content address. On `true`,
+    /// `buf` holds exactly the record's verified logical bytes. Both
+    /// buffers keep their allocations across calls.
+    pub fn resolve(
+        &self,
+        read: &mut SlotRead<'_>,
+        scratch: &mut Vec<u8>,
+        buf: &mut Vec<u8>,
+    ) -> bool {
+        let (Ok(phys), Ok(len)) = (usize::try_from(self.phys_len), usize::try_from(self.len))
+        else {
+            return false;
+        };
+        let lz = self.kind == ChunkEncoding::Lz;
+        let stored = if lz { &mut *scratch } else { &mut *buf };
+        stored.resize(phys, 0);
+        if !read(self.slot, self.phys_off, stored)
+            || (lz && lz_decompress_into(scratch, len, buf).is_none())
+        {
+            return false;
+        }
+        buf.len() == len && chunk_digest(buf) == self.digest
+    }
+}
+
+/// Builds the table of an all-`Raw` frame whose records sit at their
+/// logical offsets — what every checkpoint persisted without the codec
+/// writes — digesting the bytes as they stream past in logical order.
+#[derive(Debug)]
+pub struct RawFrame {
+    record_len: u64,
+    total: u64,
+    fed: u64,
+    digester: ChunkDigester,
+    records: Vec<FrameRecord>,
+}
+
+impl RawFrame {
+    /// A frame of `total` logical bytes cut into records of the smallest
+    /// multiple of `grain` that keeps the record count within `capacity`.
+    pub fn new(total: u64, grain: u64, capacity: usize) -> RawFrame {
+        let grain = grain.max(1);
+        let record_len = grain
+            * total
+                .div_ceil(grain)
+                .div_ceil(capacity.max(1) as u64)
+                .max(1);
+        RawFrame {
+            record_len,
+            total,
+            fed: 0,
+            digester: ChunkDigester::new(record_len.min(total)),
+            records: Vec::new(),
+        }
+    }
+
+    /// Folds the next `data` bytes of the state, in logical order.
+    pub fn feed(&mut self, mut data: &[u8]) {
+        while !data.is_empty() {
+            let start = self.records.len() as u64 * self.record_len;
+            let end = (start + self.record_len).min(self.total);
+            debug_assert!(self.fed < end, "fed past the frame's logical length");
+            let take = usize::try_from(end - self.fed).map_or(data.len(), |t| t.min(data.len()));
+            self.digester.update(&data[..take]);
+            self.fed += take as u64;
+            data = &data[take..];
+            if self.fed == end {
+                let next = ChunkDigester::new(self.record_len.min(self.total - end));
+                let digest = std::mem::replace(&mut self.digester, next).finish();
+                let len = end - start;
+                self.records.push(FrameRecord::stored(
+                    ChunkEncoding::Raw,
+                    start,
+                    len,
+                    len,
+                    digest,
+                ));
+            }
+        }
+    }
+
+    /// The finished table, bound to checkpoint `counter`.
+    pub fn finish(self, counter: u64) -> FrameTable {
+        debug_assert_eq!(self.fed, self.total, "frame fed short of its length");
+        FrameTable {
+            counter,
+            logical_len: self.total,
+            records: self.records,
+        }
     }
 }
 
@@ -430,7 +754,15 @@ fn emit_literals_only(out: &mut Vec<u8>, literals: &[u8]) {
 /// out-of-window offset, wrong output length) — restore treats that as a
 /// corrupt chunk and fails the candidate.
 pub fn lz_decompress(src: &[u8], logical_len: usize) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(logical_len);
+    let mut out = Vec::new();
+    lz_decompress_into(src, logical_len, &mut out).map(|()| out)
+}
+
+/// [`lz_decompress`] into `out`, replacing its contents but keeping its
+/// allocation.
+fn lz_decompress_into(src: &[u8], logical_len: usize, out: &mut Vec<u8>) -> Option<()> {
+    out.clear();
+    out.reserve(logical_len);
     let mut i = 0usize;
     loop {
         let token = *src.get(i)?;
@@ -491,7 +823,7 @@ pub fn lz_decompress(src: &[u8], logical_len: usize) -> Option<Vec<u8>> {
             return None;
         }
     }
-    (out.len() == logical_len).then_some(out)
+    (out.len() == logical_len).then_some(())
 }
 
 /// Where a deduplicated chunk's materialized bytes live.
@@ -503,8 +835,6 @@ pub struct DedupHit {
     pub slot: u32,
     /// Logical byte offset of the chunk within that checkpoint's payload.
     pub logical_off: u64,
-    /// Chunk length.
-    pub len: u64,
 }
 
 #[derive(Debug, Default)]
@@ -587,7 +917,6 @@ impl DedupIndex {
             counter: g.counter,
             slot: g.slot,
             logical_off,
-            len,
         })
     }
 
@@ -607,11 +936,11 @@ impl DedupIndex {
     }
 }
 
-/// Builds the digest every framed restore verifies the reconstructed
-/// payload against: the state discipline (`FNV_SEED ^ iteration` fold)
-/// or the raw checksum — the same dual acceptance the legacy paths use.
-pub fn payload_digest_matches(state: &[u8], iteration: u64, full_digest: u64) -> bool {
-    fnv1a_fold(FNV_SEED ^ iteration, state) == full_digest || fnv1a(state) == full_digest
+/// Whether `state` matches the commit digest of the checkpoint it was
+/// restored from, under either digest discipline: the state fold
+/// (`FNV_SEED ^ iteration`) or the raw checksum.
+pub fn payload_digest_matches(state: &[u8], iteration: u64, digest: u64) -> bool {
+    fnv1a_fold(FNV_SEED ^ iteration, state) == digest || fnv1a(state) == digest
 }
 
 /// Convenience: the content address of a chunk (re-exported so persist and
@@ -629,32 +958,10 @@ mod tests {
         FrameTable {
             counter: 42,
             logical_len: 300,
-            full_digest: 0xfeed_face_dead_beef,
             records: vec![
-                FrameRecord {
-                    kind: ChunkEncoding::Raw,
-                    aux: 0,
-                    logical_len: 100,
-                    a: 0,
-                    b: 100,
-                    digest: 11,
-                },
-                FrameRecord {
-                    kind: ChunkEncoding::Lz,
-                    aux: 0,
-                    logical_len: 100,
-                    a: 100,
-                    b: 40,
-                    digest: 22,
-                },
-                FrameRecord {
-                    kind: ChunkEncoding::DedupSelf,
-                    aux: 0,
-                    logical_len: 100,
-                    a: 0,
-                    b: 0,
-                    digest: 11,
-                },
+                FrameRecord::stored(ChunkEncoding::Raw, 0, 100, 100, 11),
+                FrameRecord::stored(ChunkEncoding::Lz, 100, 40, 100, 22),
+                FrameRecord::dedup_self(0, 100, 11),
             ],
         }
     }
@@ -666,8 +973,6 @@ mod tests {
         assert_eq!(buf.len() as u64, t.encoded_len());
         assert_eq!(FrameTable::decode(&buf).unwrap(), t);
         assert_eq!(t.packed_len(), 140);
-        assert_eq!(t.physical_len(), t.encoded_len() + 140);
-        assert_eq!(t.dedup_bytes(), 100);
         assert!(!t.references_base());
     }
 
@@ -693,12 +998,139 @@ mod tests {
     }
 
     #[test]
-    fn frame_decode_rejects_forward_self_reference() {
+    fn frame_decode_rejects_bad_self_references() {
         let mut t = sample_table();
         t.records[2].aux = 2; // self-reference (not a backward pointer)
         assert!(FrameTable::decode(&t.encode()).is_none());
         t.records[2].aux = 5; // forward/out-of-range
         assert!(FrameTable::decode(&t.encode()).is_none());
+        t.records[2].aux = 0;
+        t.records[2].digest = 12; // not the referenced record's bytes
+        assert!(FrameTable::decode(&t.encode()).is_none());
+    }
+
+    /// The dedup hit naming the base record at `logical_off` of checkpoint
+    /// `counter` in `slot`.
+    fn base_record(counter: u64, slot: u32, logical_off: u64) -> DedupHit {
+        DedupHit {
+            counter,
+            slot,
+            logical_off,
+        }
+    }
+
+    /// A store-less slot image: `slots[s]` is slot `s`'s payload area.
+    fn slot_reader(slots: &[Vec<u8>]) -> impl FnMut(u32, u64, &mut [u8]) -> bool + '_ {
+        move |slot, off, buf| {
+            let Some(area) = slots.get(slot as usize) else {
+                return false;
+            };
+            let off = off as usize;
+            match area.get(off..off + buf.len()) {
+                Some(src) => {
+                    buf.copy_from_slice(src);
+                    true
+                }
+                None => false,
+            }
+        }
+    }
+
+    fn meta(slot: u32, counter: u64, payload_len: u64) -> CheckMeta {
+        CheckMeta {
+            counter,
+            slot,
+            iteration: counter,
+            payload_len,
+            digest: 0,
+            delta: None,
+        }
+    }
+
+    #[test]
+    fn raw_frame_places_records_at_their_logical_offsets() {
+        let data: Vec<u8> = (0..1000u32).map(|i| (i * 7) as u8).collect();
+        // Grain 64 would need 16 records; capacity 4 coalesces to 256.
+        let mut raw = RawFrame::new(1000, 64, 4);
+        for piece in data.chunks(100) {
+            raw.feed(piece);
+        }
+        let table = raw.finish(9);
+        assert_eq!(table.records.len(), 4);
+        assert!(table.is_raw());
+        assert_eq!(table.packed_len(), 1000);
+        for (r, off) in table.records.iter().zip([0u64, 256, 512, 768]) {
+            assert_eq!((r.a, r.logical_len), (off, r.b));
+            let end = (off + r.b) as usize;
+            assert_eq!(r.digest, chunk_digest(&data[off as usize..end]));
+        }
+    }
+
+    #[test]
+    fn read_frame_binds_the_table_to_its_commit() {
+        let data = vec![5u8; 300];
+        let mut raw = RawFrame::new(300, 100, 64);
+        raw.feed(&data);
+        let table = raw.finish(7);
+        let mut area = data.clone();
+        table
+            .write_after(300, |off, bytes| {
+                assert_eq!(off, 300);
+                area.extend_from_slice(bytes);
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+        area.resize(4096, 0);
+        let slots = vec![area];
+        let mut read = slot_reader(&slots);
+        assert_eq!(read_frame(&mut read, &meta(0, 7, 300), 64), Some(table));
+        // Another counter (a stale table), a shorter packed length (the
+        // table is not where the commit says), or a tiny capacity: no frame.
+        assert!(read_frame(&mut read, &meta(0, 8, 300), 64).is_none());
+        assert!(read_frame(&mut read, &meta(0, 7, 200), 64).is_none());
+        assert!(read_frame(&mut read, &meta(0, 7, 300), 2).is_none());
+    }
+
+    #[test]
+    fn reads_resolve_every_record_kind() {
+        // Base frame in slot 0 (counter 3): two Raw records, `a` then `b`.
+        let (a, b) = (vec![1u8; 64], (0..64u8).collect::<Vec<u8>>());
+        let mut raw = RawFrame::new(128, 64, 64);
+        raw.feed(&[a.clone(), b.clone()].concat());
+        let base = raw.finish(3);
+        // Frame in slot 1: Lz(a), DedupSelf(0), DedupBase(base record 1).
+        let lz = compress_gated(&a).unwrap();
+        let frame = FrameTable {
+            counter: 4,
+            logical_len: 192,
+            records: vec![
+                FrameRecord::stored(ChunkEncoding::Lz, 0, lz.len() as u64, 64, chunk_digest(&a)),
+                FrameRecord::dedup_self(0, 64, chunk_digest(&a)),
+                FrameRecord::dedup_base(base_record(3, 0, 64), 64, chunk_digest(&b)),
+            ],
+        };
+        let slots = vec![[a.clone(), b.clone()].concat(), lz];
+        let mut base_of = |slot, counter| ((slot, counter) == (0, 3)).then(|| base.clone());
+        let reads = frame.reads(1, &mut base_of).unwrap();
+        assert_eq!(reads.len(), 2);
+        assert_eq!(reads[0].targets, vec![0, 64]);
+        assert_eq!((reads[1].slot, reads[1].targets.clone()), (0, vec![128]));
+        let mut out = vec![0u8; 192];
+        let mut read = slot_reader(&slots);
+        let (mut scratch, mut buf) = (Vec::new(), Vec::new());
+        for r in &reads {
+            assert!(r.resolve(&mut read, &mut scratch, &mut buf));
+            for &t in &r.targets {
+                out[t as usize..t as usize + 64].copy_from_slice(&buf);
+            }
+        }
+        assert_eq!(out, [a.clone(), a, b].concat());
+        // A base reference into the middle of a record, or with no base
+        // frame at all, plans nothing.
+        let mut forged = frame.clone();
+        forged.records[2].b = 32;
+        assert!(forged.reads(1, &mut base_of).is_none());
+        assert!(frame.reads(1, &mut |_, _| None).is_none());
     }
 
     #[test]
@@ -767,7 +1199,6 @@ mod tests {
                 counter: 7,
                 slot: 2,
                 logical_off: 0,
-                len: 64
             })
         );
         // Wrong base counter: the caller's link would not pin gen 7.
@@ -834,20 +1265,19 @@ mod tests {
             let mut records = Vec::new();
             let mut phys = 0u64;
             for (i, &len) in lens.iter().enumerate() {
-                records.push(FrameRecord {
-                    kind: ChunkEncoding::Raw,
-                    aux: 0,
-                    logical_len: len,
-                    a: phys,
-                    b: len,
-                    digest: (i as u64) * 31 + 7,
-                });
+                let digest = (i as u64) * 31 + 7;
+                records.push(FrameRecord::stored(
+                    ChunkEncoding::Raw,
+                    phys,
+                    len,
+                    len,
+                    digest,
+                ));
                 phys += len;
             }
             let t = FrameTable {
                 counter,
                 logical_len: lens.iter().sum(),
-                full_digest: counter ^ 0xABCD,
                 records,
             };
             assert_eq!(FrameTable::decode(&t.encode()).unwrap(), t);

@@ -48,9 +48,9 @@ pub struct PcCheckConfig {
     /// (the default) disables the flight recorder entirely and reserves
     /// no space, so existing capacity-sized stores are unaffected.
     pub flight_records: u32,
-    /// Whether checkpoints go through the chunk codec (content-defined
-    /// compression + dedup framing). Off by default: legacy stores and
-    /// callers see byte-for-byte the pre-codec persist path.
+    /// Whether the chunk codec chooses record kinds (compression,
+    /// content-addressed dedup) in each checkpoint's frame. Off by
+    /// default: every record is stored `Raw` at its logical offset.
     pub codec: bool,
     /// Steer the persist path with a [`PersistController`] every this
     /// many checkpoint requests (`0`, the default, disables adaptation).

@@ -39,8 +39,8 @@ use pccheck_util::ByteSize;
 
 use crate::config::PcCheckConfig;
 use crate::error::PccheckError;
-use crate::pipeline::{DeltaPolicy, FenceMode, PersistPipeline, PipelineCtx};
-use crate::store::{CheckpointStore, CommitOutcome, JobId, SlotLease};
+use crate::pipeline::{DeltaPolicy, FenceMode, FrameMode, PersistPipeline, PipelineCtx};
+use crate::store::{CheckpointStore, CommitOutcome, JobId};
 use crate::tuner::{ControllerConfig, ControllerSignals, PersistController};
 
 /// Cumulative engine statistics.
@@ -417,7 +417,10 @@ impl PcCheckEngine {
             .store(decision.codec_enabled, std::sync::atomic::Ordering::Release);
     }
 
-    /// Body of one checkpoint, run on a background worker thread.
+    /// Body of one checkpoint, run on a background worker thread: lease,
+    /// then one trip through the pipeline's chunk loop — staged vs
+    /// streamed is this engine's `pipelined` policy, the codec the
+    /// controller's switch — seal, and commit.
     #[allow(clippy::too_many_arguments)]
     fn run_checkpoint(
         pipeline: &PersistPipeline,
@@ -433,18 +436,30 @@ impl PcCheckEngine {
         let total = guard.size();
         let lease = pipeline.lease_for(ctx, job)?;
         let (counter, slot) = (lease.counter, lease.slot);
-        let result = Self::run_leased(
-            pipeline,
-            config,
-            ctx,
-            guard,
-            lease,
-            iteration,
-            digest,
-            total,
-            delta_policy,
-            use_codec,
-        );
+        let mode = FrameMode {
+            staged: !config.pipelined,
+            codec: (use_codec && pipeline.codec_enabled()).then_some(delta_policy),
+        };
+        let result = (move || {
+            let plan = pipeline.copy_frame(ctx, &guard, &lease, total, digest.0, mode)?;
+            let sealed = ByteSize::from_bytes(plan.payload_len);
+            // Ordering: in per-writer-fence mode all persist work finished
+            // with the copy scope, so seal (and its Persist phase_done) runs
+            // before the guard drop — otherwise the weights handoff and any
+            // trainer step it unblocks land inside the Persist span and skew
+            // the ledger. In deferred mode the guard must drop first:
+            // holding the weights through the whole-payload msync would
+            // stall training for the full fence. Either way the weights are
+            // released before the commit CAS.
+            if pipeline.fence() == FenceMode::PerWriter {
+                pipeline.seal(ctx, &lease, iteration, sealed, plan.persist_start)?;
+                drop(guard);
+            } else {
+                drop(guard);
+                pipeline.seal(ctx, &lease, iteration, sealed, plan.persist_start)?;
+            }
+            pipeline.commit_framed(ctx, lease, iteration, &plan)
+        })();
         if result.is_err() {
             // A failed checkpoint leaves its Begin record unterminated on
             // the flight ring without this — record the failure so the
@@ -460,65 +475,6 @@ impl PcCheckEngine {
             );
         }
         result
-    }
-
-    /// The leased portion of [`run_checkpoint`](Self::run_checkpoint):
-    /// copy, persist, and commit — all through the shared pipeline; the
-    /// staged-vs-streamed choice is this engine's scheduling policy.
-    #[allow(clippy::too_many_arguments)]
-    fn run_leased(
-        pipeline: &PersistPipeline,
-        config: &PcCheckConfig,
-        ctx: PipelineCtx<'_>,
-        guard: WeightsGuard,
-        lease: SlotLease,
-        iteration: u64,
-        digest: pccheck_gpu::StateDigest,
-        total: ByteSize,
-        delta_policy: DeltaPolicy,
-        use_codec: bool,
-    ) -> Result<CommitOutcome, PccheckError> {
-        // Codec path: stage, classify (compress / self-dedup / base-dedup),
-        // and pack into a framed payload. `copy_framed` declines — and we
-        // stream raw below — when the pool can't stage the snapshot or the
-        // frame wouldn't shrink it, so this branch never loses to the
-        // legacy path on incompressible data beyond the decline probe.
-        if use_codec && pipeline.codec_enabled() {
-            if let Some(plan) =
-                pipeline.copy_framed(ctx, &guard, &lease, total, digest.0, delta_policy)?
-            {
-                let sealed = ByteSize::from_bytes(plan.payload_len);
-                if pipeline.fence() == FenceMode::PerWriter {
-                    pipeline.seal(ctx, &lease, iteration, sealed, plan.persist_start)?;
-                    drop(guard);
-                } else {
-                    drop(guard);
-                    pipeline.seal(ctx, &lease, iteration, sealed, plan.persist_start)?;
-                }
-                return pipeline.commit_framed(ctx, lease, iteration, &plan);
-            }
-        }
-        let persist_start = if config.pipelined {
-            pipeline.copy_streamed(ctx, &guard, &lease, total)?
-        } else {
-            pipeline.copy_staged(ctx, &guard, &lease, total)?
-        };
-        // Ordering: in per-writer-fence mode all persist work finished with
-        // the copy scope, so seal (and its Persist phase_done) runs before
-        // the guard drop — otherwise the weights handoff and any trainer
-        // step it unblocks land inside the Persist span and skew the
-        // ledger. In deferred mode the guard must drop first: holding the
-        // weights through the whole-payload msync would stall training for
-        // the full fence. Either way the weights are released before the
-        // commit CAS.
-        if pipeline.fence() == FenceMode::PerWriter {
-            pipeline.seal(ctx, &lease, iteration, total, persist_start)?;
-            drop(guard);
-        } else {
-            drop(guard);
-            pipeline.seal(ctx, &lease, iteration, total, persist_start)?;
-        }
-        pipeline.commit(ctx, lease, iteration, total.as_u64(), digest.0)
     }
 }
 
@@ -1089,13 +1045,11 @@ mod tests {
         )
     }
 
-    #[test]
-    fn codec_engine_commits_framed_and_recovers_bit_identical() {
-        // End to end through the engine: compressible weights, codec on.
-        let gpu = compressible_gpu(4096, 11);
+    /// A codec-on engine (N=2, p=2, 256-byte chunks, 16-chunk pool) over
+    /// a fresh SSD sized for `gpu`, recording into `telemetry`.
+    fn codec_engine(gpu: &Gpu, telemetry: &Telemetry) -> (PcCheckEngine, Arc<SsdDevice>) {
         let cap = CheckpointStore::required_capacity(gpu.state_size(), 4) + ByteSize::from_kb(1);
-        let device: Arc<dyn PersistentDevice> =
-            Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
+        let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let config = PcCheckConfig::builder()
             .max_concurrent(2)
             .writer_threads(2)
@@ -1104,10 +1058,19 @@ mod tests {
             .codec(true)
             .build()
             .unwrap();
-        let telemetry = Telemetry::enabled();
+        let device: Arc<dyn PersistentDevice> = ssd.clone();
         let engine = PcCheckEngine::new(config, device, gpu.state_size())
             .unwrap()
             .with_telemetry(telemetry.clone());
+        (engine, ssd)
+    }
+
+    #[test]
+    fn codec_engine_commits_framed_and_recovers_bit_identical() {
+        // End to end through the engine: compressible weights, codec on.
+        let gpu = compressible_gpu(4096, 11);
+        let telemetry = Telemetry::enabled();
+        let (engine, _) = codec_engine(&gpu, &telemetry);
         assert!(engine.pipeline().codec_enabled());
         for iter in 1..=4 {
             gpu.update();
@@ -1131,20 +1094,33 @@ mod tests {
     }
 
     #[test]
+    fn codec_copies_incompressible_state_once_per_checkpoint() {
+        // Incompressible state with the codec on: the codec has nothing to
+        // shrink, but it must not pay for that with a second copy pass —
+        // each checkpoint copies the state off the GPU exactly once.
+        let gpu = Gpu::new(
+            GpuConfig::fast_for_tests(),
+            TrainingState::synthetic(ByteSize::from_bytes(4096), 13),
+        );
+        let telemetry = Telemetry::enabled();
+        let (engine, ssd) = codec_engine(&gpu, &telemetry);
+        for iter in 1..=3 {
+            gpu.update();
+            engine.checkpoint(&gpu, iter);
+            engine.drain();
+            let snap = telemetry.snapshot().unwrap();
+            assert_eq!(snap.gpu_copy_bytes, iter * 4096, "checkpoint {iter}");
+        }
+        let recovered = crate::recovery::recover(ssd).unwrap();
+        let layout = gpu.with_weights(|s| s.layout());
+        let restored = TrainingState::restore(&layout, &recovered.payload, recovered.iteration);
+        assert_eq!(restored.digest(), gpu.digest());
+    }
+
+    #[test]
     fn codec_engine_survives_crash_and_recovery() {
         let gpu = compressible_gpu(2048, 12);
-        let cap = CheckpointStore::required_capacity(gpu.state_size(), 4) + ByteSize::from_kb(1);
-        let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let device: Arc<dyn PersistentDevice> = ssd.clone();
-        let config = PcCheckConfig::builder()
-            .max_concurrent(2)
-            .writer_threads(2)
-            .chunk_size(ByteSize::from_bytes(256))
-            .dram_chunks(16)
-            .codec(true)
-            .build()
-            .unwrap();
-        let engine = PcCheckEngine::new(config, device, gpu.state_size()).unwrap();
+        let (engine, ssd) = codec_engine(&gpu, &Telemetry::disabled());
         for iter in 1..=3 {
             gpu.update();
             engine.checkpoint(&gpu, iter);

@@ -88,7 +88,7 @@ pub use error::PccheckError;
 pub use meta::NamespaceDesc;
 pub use meta::{CheckMeta, DeltaLink, SlotState, SLOT_STATE_SIZE};
 pub use pipeline::{
-    DeltaOutcome, DeltaPlan, DeltaPolicy, FenceMode, FramedOutcome, FramedPlan, PersistPipeline,
+    DeltaOutcome, DeltaPlan, DeltaPolicy, FenceMode, FrameMode, FramedPlan, PersistPipeline,
     PipelineCtx, KERNEL_COPY_CHUNK,
 };
 pub use qos::{QosArbiter, QosConfig, QosGrant};

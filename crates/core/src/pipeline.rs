@@ -12,6 +12,15 @@
 //! background thread, and whether fences are issued per writer (PMEM) or
 //! deferred into one `msync` (SSD).
 //!
+//! Every slot a strategy commits is a frame log (see [`crate::codec`]):
+//! records, then the frame table. The chunk-scheduled strategies run one
+//! producer→writer loop ([`PersistPipeline::copy_frame`]): lease → copy
+//! chunk → digest → self/base dedup lookup → writer (compress-gated,
+//! reserve a physical offset, write, fence) → table last → seal → commit.
+//! Staged vs streamed and codec on/off are arguments of that loop, not
+//! separate paths. The whole-buffer baselines write the same all-`Raw`
+//! frame on their own schedule.
+//!
 //! [`PersistPipeline`] owns the mechanism so the strategies reduce to
 //! policy. It also owns the pipeline's telemetry: per-chunk write/persist
 //! stage latencies ([`Telemetry::stage_write`] /
@@ -22,44 +31,70 @@
 //! [`PersistentDevice::queue_depths`]: pccheck_device::PersistentDevice::queue_depths
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 
 use pccheck_device::{
-    chunk_count, chunk_digest, fnv1a_fold, ChunkDigestTable, ExtentRecord, ExtentTable, HostBuffer,
-    HostBufferPool, FNV_SEED,
+    chunk_digest, fnv1a_fold, ExtentRecord, ExtentTable, HostBuffer, HostBufferPool, FNV_SEED,
 };
 use pccheck_gpu::{merge_ranges, SnapshotSource};
 use pccheck_telemetry::{FlightEventKind, Phase, SpanId, Telemetry};
 use pccheck_util::sync::Mutex;
 use pccheck_util::ByteSize;
 
-use crate::codec::{compress_gated, ChunkEncoding, DedupIndex, FrameRecord, FrameTable};
+use crate::codec::{
+    compress_gated, ChunkEncoding, DedupIndex, FrameRecord, FrameTable, RawFrame, WHOLE_RECORD,
+};
 use crate::error::PccheckError;
 use crate::meta::DeltaLink;
 use crate::qos::QosArbiter;
 use crate::store::{CheckpointStore, CommitOutcome, JobId, SlotLease};
 
-/// A chunk on its way from a copy's producer to a writer: destination
-/// offset in the slot payload, length, and the DRAM buffer.
-type StreamChunk = (u64, usize, HostBuffer);
+/// Where a writer puts a chunk.
+#[derive(Debug, Clone, Copy)]
+enum Place {
+    /// Verbatim at this payload offset.
+    At(u64),
+    /// Codec record `i`: compress-gated, then packed at the next free
+    /// physical offset.
+    Pack(usize),
+}
+
+/// A chunk on its way from a copy's producer to a writer: where it goes,
+/// its length, and the DRAM buffer holding it.
+type StreamChunk = (Place, usize, HostBuffer);
+
+/// The physical placements writers chose for one frame's packed records:
+/// a bump cursor over the packed region, and `(record, kind, offset,
+/// length)` per record placed.
+#[derive(Debug, Default)]
+struct Packing {
+    cursor: AtomicU64,
+    placed: Mutex<Vec<(usize, ChunkEncoding, u64, u64)>>,
+}
 
 /// The producer's end of the chunk writers: one channel per writer, dealt
 /// round-robin. Each writer owns its receiver, so a writer never waits on
 /// another to claim work, and all of them see the end of the stream at
 /// once.
-struct WriterFeed {
+struct WriterFeed<'a> {
     txs: Vec<SyncSender<StreamChunk>>,
     sent: usize,
+    abort: &'a AtomicBool,
 }
 
-impl WriterFeed {
+impl WriterFeed<'_> {
     /// Hands `chunk` to the next writer in turn.
     fn send(&mut self, chunk: StreamChunk) {
         let tx = &self.txs[self.sent % self.txs.len()];
         self.sent += 1;
         tx.send(chunk).expect("writers outlive producer");
+    }
+
+    /// Whether a writer hit a device error (the producer should stop).
+    fn aborted(&self) -> bool {
+        self.abort.load(Ordering::Acquire)
     }
 }
 
@@ -98,6 +133,21 @@ impl Default for DeltaPolicy {
             max_chain: 7,
         }
     }
+}
+
+/// How [`PersistPipeline::copy_frame`] schedules and encodes one frame
+/// (the default streams with the codec off).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct FrameMode {
+    /// Copy the whole snapshot into DRAM before the first write (Figure 6)
+    /// instead of overlapping copy and persist chunk by chunk (Figure 7).
+    /// Needs a staging pool that holds the whole snapshot.
+    pub staged: bool,
+    /// Let the codec choose each record's kind (compressed, deduplicated
+    /// within the frame or against the latest commit, whose chain the
+    /// policy bounds). `None` stores every record `Raw` at its logical
+    /// offset.
+    pub codec: Option<DeltaPolicy>,
 }
 
 /// What [`PersistPipeline::copy_delta`] actually persisted, and what the
@@ -144,23 +194,6 @@ pub enum DeltaOutcome {
     Full,
 }
 
-/// Rolled-up outcome of [`PersistPipeline::checkpoint_framed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FramedOutcome {
-    /// A framed payload (frame table + packed chunks) was persisted.
-    Framed {
-        /// Physical bytes in the slot (table + packed chunks).
-        payload_len: u64,
-        /// Bytes the codec avoided persisting.
-        saved_bytes: u64,
-        /// Chunks stored as dedup references.
-        dedup_chunks: u64,
-    },
-    /// The codec saved nothing (or was inapplicable) and the payload was
-    /// streamed raw.
-    Raw,
-}
-
 /// Telemetry context for one checkpoint's trip through the pipeline.
 #[derive(Clone, Copy)]
 pub struct PipelineCtx<'a> {
@@ -168,17 +201,6 @@ pub struct PipelineCtx<'a> {
     pub telemetry: &'a Telemetry,
     /// The checkpoint's span.
     pub span: SpanId,
-}
-
-/// Per-chunk digests collected while a full payload streamed through the
-/// copy paths, parked until [`PersistPipeline::commit`] can bind them to
-/// the commit's digest and write the slot's [`ChunkDigestTable`].
-#[derive(Debug)]
-struct PendingDigests {
-    counter: u64,
-    chunk_len: u64,
-    payload_len: u64,
-    digests: Vec<u64>,
 }
 
 /// The shared chunk-scheduled I/O layer over a [`CheckpointStore`].
@@ -197,45 +219,51 @@ pub struct PersistPipeline {
     /// Bandwidth arbiter gating writer-pool leases when several jobs
     /// multiplex this pipeline (service mode). `None` = no arbitration.
     qos: Option<Arc<QosArbiter>>,
-    /// Per-slot digests awaiting commit, shared across clones so a
-    /// background committer sees what the copier collected.
-    pending_digests: Arc<Mutex<HashMap<u32, PendingDigests>>>,
     /// Chunk codec + dedup state, shared across clones (the controller
     /// toggles `enabled`; the dedup index survives across checkpoints).
     codec: Arc<CodecState>,
 }
 
 /// Shared chunk-codec state: the on/off switch the controller flips and
-/// the content-addressed dedup index over each job's latest framed commit.
+/// the content-addressed dedup index over each job's latest frame.
 #[derive(Debug, Default)]
 struct CodecState {
     enabled: AtomicBool,
     dedup: Mutex<DedupIndex>,
 }
 
-/// What [`PersistPipeline::copy_framed`] persisted and what
+/// What [`PersistPipeline::copy_frame`] persisted and what
 /// [`PersistPipeline::commit_framed`] must bind to the commit record.
 #[derive(Debug, Clone)]
 pub struct FramedPlan {
     /// Persist-phase start timestamp for the caller's `seal`.
     pub persist_start: u64,
-    /// Physical bytes in the slot (frame table + packed chunks).
+    /// Packed record bytes in the slot: the commit's payload length, and
+    /// the range `seal` fences (the table after it is already durable).
     pub payload_len: u64,
-    /// Checksum of the serialized frame table (the framed slot's meta
-    /// digest, mirroring the delta path's table-checksum discipline).
-    pub payload_digest: u64,
+    /// The full-state digest the commit records.
+    pub digest: u64,
     /// Back-pointer pinning the base checkpoint, present iff any chunk
     /// deduplicated against it.
     pub link: Option<DeltaLink>,
     /// Logical (uncompressed) payload length.
     pub logical_len: u64,
-    /// Bytes the codec avoided persisting (`logical - physical`).
+    /// Bytes the codec avoided persisting: logical − packed − table, 0
+    /// when the frame did not shrink (see
+    /// [`persisted_len`](Self::persisted_len) for what it cost).
     pub saved_bytes: u64,
     /// Chunks stored as dedup references instead of materialized bytes.
     pub dedup_chunks: u64,
     /// The frame table as persisted (commit installs the next dedup
     /// generation from its materialized records).
     pub table: FrameTable,
+}
+
+impl FramedPlan {
+    /// Bytes the frame occupies on the device: packed records plus table.
+    pub fn persisted_len(&self) -> u64 {
+        self.payload_len + self.table.encoded_len()
+    }
 }
 
 impl PersistPipeline {
@@ -248,56 +276,8 @@ impl PersistPipeline {
             writers: Arc::new(AtomicUsize::new(1)),
             fence: FenceMode::PerWriter,
             qos: None,
-            pending_digests: Arc::new(Mutex::new(HashMap::new())),
             codec: Arc::new(CodecState::default()),
         }
-    }
-
-    /// Whether a full payload of `total` bytes cut into `chunk`-byte
-    /// chunks fits the store's per-slot digest-table capacity.
-    fn digest_table_fits(&self, total: ByteSize, chunk: ByteSize) -> bool {
-        let cap = self.store.digest_chunks() as usize;
-        cap > 0 && chunk_count(total.as_u64(), chunk.as_u64()) <= cap
-    }
-
-    /// Parks the chunk digests a copy path collected for `lease`'s slot.
-    fn park_digests(&self, lease: &SlotLease, chunk_len: u64, total: ByteSize, digests: Vec<u64>) {
-        self.pending_digests.lock().insert(
-            lease.slot,
-            PendingDigests {
-                counter: lease.counter,
-                chunk_len,
-                payload_len: total.as_u64(),
-                digests,
-            },
-        );
-    }
-
-    /// Writes the slot's per-chunk digest table from digests parked by the
-    /// copy path, binding them to the commit's `digest`. Stale leftovers
-    /// (different counter or payload length — an earlier aborted attempt
-    /// on the same slot) are silently discarded.
-    fn flush_digest_table(
-        &self,
-        lease: &SlotLease,
-        payload_len: u64,
-        digest: u64,
-    ) -> Result<(), PccheckError> {
-        let Some(p) = self.pending_digests.lock().remove(&lease.slot) else {
-            return Ok(());
-        };
-        if p.counter != lease.counter || p.payload_len != payload_len {
-            return Ok(());
-        }
-        let table = ChunkDigestTable {
-            chunk_len: p.chunk_len,
-            payload_len,
-            counter: lease.counter,
-            payload_digest: digest,
-            digests: p.digests,
-        };
-        self.store.write_digest_table(lease.slot, &table)?;
-        Ok(())
     }
 
     /// Sets the number of parallel writer threads (`p` in the paper).
@@ -344,9 +324,8 @@ impl PersistPipeline {
         self
     }
 
-    /// Attaches the DRAM staging pool used by the chunk-scheduled copy
-    /// paths ([`copy_staged`](Self::copy_staged) /
-    /// [`copy_streamed`](Self::copy_streamed)).
+    /// Attaches the DRAM staging pool the chunk loop
+    /// ([`copy_frame`](Self::copy_frame)) copies through.
     pub fn with_staging(mut self, pool: HostBufferPool) -> Self {
         self.pool = Some(pool);
         self
@@ -491,124 +470,315 @@ impl PersistPipeline {
         Ok(media)
     }
 
-    /// Spawns the `p` chunk writers into `scope` and returns the
-    /// producer's end, which deals DRAM chunks to them round-robin.
-    ///
-    /// A writer persists each chunk, then frees its DRAM buffer. After the
-    /// first device error (pushed to `results`, raising `abort`) writers
-    /// stop issuing I/O but keep draining, so the producer never blocks on
-    /// a full pool. They exit when the producer drops its end.
-    fn spawn_chunk_writers<'scope>(
-        &'scope self,
-        scope: &'scope std::thread::Scope<'scope, '_>,
-        ctx: PipelineCtx<'scope>,
-        lease: &'scope SlotLease,
-        results: &'scope Mutex<Vec<PccheckError>>,
-        abort: &'scope AtomicBool,
-    ) -> WriterFeed {
-        let mut txs = Vec::with_capacity(self.writers());
-        for w in 0..self.writers() {
-            // The pool bounds the chunks in flight; the channel need not.
-            let (tx, rx) = sync_channel::<StreamChunk>(self.pool().total_chunks());
-            txs.push(tx);
-            scope.spawn(move || {
-                let actor_start = ctx.telemetry.now_nanos();
-                let mut actor_bytes = 0u64;
-                let mut media_nanos = 0u64;
-                for (off, n, buf) in rx {
-                    if !abort.load(Ordering::Acquire) {
-                        match self.write_and_fence_chunk(ctx, lease, off, &buf.as_slice()[..n]) {
-                            Ok(media) => {
-                                actor_bytes += n as u64;
-                                media_nanos += media;
-                            }
-                            Err(e) => {
-                                results.lock().push(e);
-                                abort.store(true, Ordering::Release);
-                            }
-                        }
-                    }
-                    drop(buf); // free the DRAM chunk for the producer
-                }
-                if actor_bytes > 0 && ctx.telemetry.is_enabled() {
-                    ctx.telemetry.actor_span_split(
-                        ctx.span,
-                        &format!("writer-{w}"),
-                        actor_start,
-                        actor_bytes,
-                        media_nanos,
-                    );
-                }
-            });
-        }
-        WriterFeed { txs, sent: 0 }
+    /// A writer's handling of one codec record: keep the LZ form when the
+    /// gate says it pays, reserve the next physical offset of the packed
+    /// region, write (and fence) there, and record the placement. Returns
+    /// `(media nanos, bytes written)`.
+    fn pack_chunk(
+        &self,
+        ctx: PipelineCtx<'_>,
+        lease: &SlotLease,
+        packing: &Packing,
+        record: usize,
+        data: &[u8],
+    ) -> Result<(u64, usize), PccheckError> {
+        let compressed = compress_gated(data);
+        let (kind, bytes) = match &compressed {
+            Some(c) => (ChunkEncoding::Lz, c.as_slice()),
+            None => (ChunkEncoding::Raw, data),
+        };
+        let len = bytes.len() as u64;
+        let off = packing.cursor.fetch_add(len, Ordering::Relaxed);
+        let media = self.write_and_fence_chunk(ctx, lease, off, bytes)?;
+        packing.placed.lock().push((record, kind, off, len));
+        Ok((media, bytes.len()))
     }
 
-    /// Non-pipelined copy (Figure 6): stage the entire snapshot in DRAM
-    /// chunks, then persist with `p` parallel writers distributing chunks
-    /// round-robin.
+    /// Runs `produce` against the `p` chunk writers — the one place the
+    /// pipeline fans out threads — and returns what it returned once every
+    /// writer has drained, with the time the first writer started (the
+    /// earliest a streamed copy's persist phase can begin: thread start-up
+    /// is setup, not device idle time inside it).
     ///
-    /// Returns the persist-phase start timestamp so the caller can close
-    /// the phase after [`seal`](Self::seal).
+    /// A writer persists each chunk it is dealt, then frees its DRAM
+    /// buffer. After the first device error (raising the abort flag the
+    /// feed exposes) writers stop issuing I/O but keep draining, so the
+    /// producer never blocks on a full pool.
+    ///
+    /// # Errors
+    ///
+    /// The first device error any writer hit.
+    fn run_writers<R>(
+        &self,
+        ctx: PipelineCtx<'_>,
+        lease: &SlotLease,
+        packing: &Packing,
+        produce: impl FnOnce(&mut WriterFeed<'_>) -> R,
+    ) -> Result<(R, u64), PccheckError> {
+        let errors: Mutex<Vec<PccheckError>> = Mutex::new(Vec::new());
+        let abort = AtomicBool::new(false);
+        let first_start = AtomicU64::new(u64::MAX);
+        let out = std::thread::scope(|s| {
+            let txs = (0..self.writers())
+                .map(|w| {
+                    // The pool bounds the chunks in flight; the channel need not.
+                    let (tx, rx) = sync_channel::<StreamChunk>(self.pool().total_chunks());
+                    let (errors, abort, first_start) = (&errors, &abort, &first_start);
+                    s.spawn(move || {
+                        let actor_start = ctx.telemetry.now_nanos();
+                        first_start.fetch_min(actor_start, Ordering::Relaxed);
+                        let mut actor_bytes = 0u64;
+                        let mut media_nanos = 0u64;
+                        for (place, len, buf) in rx {
+                            if !abort.load(Ordering::Acquire) {
+                                let data = &buf.as_slice()[..len];
+                                let done = match place {
+                                    Place::At(off) => self
+                                        .write_and_fence_chunk(ctx, lease, off, data)
+                                        .map(|media| (media, len)),
+                                    Place::Pack(i) => self.pack_chunk(ctx, lease, packing, i, data),
+                                };
+                                match done {
+                                    Ok((media, bytes)) => {
+                                        actor_bytes += bytes as u64;
+                                        media_nanos += media;
+                                    }
+                                    Err(e) => {
+                                        errors.lock().push(e);
+                                        abort.store(true, Ordering::Release);
+                                    }
+                                }
+                            }
+                            drop(buf); // free the DRAM chunk for the producer
+                        }
+                        if actor_bytes > 0 && ctx.telemetry.is_enabled() {
+                            ctx.telemetry.actor_span_split(
+                                ctx.span,
+                                &format!("writer-{w}"),
+                                actor_start,
+                                actor_bytes,
+                                media_nanos,
+                            );
+                        }
+                    });
+                    tx
+                })
+                .collect();
+            let mut feed = WriterFeed {
+                txs,
+                sent: 0,
+                abort: &abort,
+            };
+            let out = produce(&mut feed);
+            drop(feed); // writers drain and exit
+            out
+        });
+        match errors.into_inner().into_iter().next() {
+            Some(e) => Err(e),
+            None => Ok((out, first_start.into_inner())),
+        }
+    }
+
+    /// The chunk loop every chunk-scheduled checkpoint runs: a producer
+    /// copies the snapshot chunk by chunk through the DRAM pool while `p`
+    /// writers persist already-copied chunks (all chunks are copied first
+    /// when `mode.staged`). Once every writer has drained, the frame table
+    /// is written and fenced after every record it describes — a torn
+    /// frame is never mistaken for a complete one.
+    ///
+    /// Without the codec every record is `Raw` at its logical offset. With
+    /// it, the producer content-addresses each chunk and records it as a
+    /// reference when it repeats an earlier chunk of this frame (checked
+    /// byte for byte against the snapshot, which is still held) or a
+    /// materialized chunk of the job's latest commit (whose chain
+    /// `mode.codec` bounds); every other chunk goes to a writer, which
+    /// keeps it LZ-compressed when that pays and packs it at the next free
+    /// physical offset. The codec only picks record kinds, so there is
+    /// nothing to decline: an incompressible snapshot commits an all-`Raw`
+    /// frame. When the slot's table cannot hold a record per pool chunk,
+    /// records span several chunks and the codec stays off.
+    ///
+    /// `digest` is the full-state digest the caller commits
+    /// ([`FramedPlan::digest`]); restore verifies codec frames against it
+    /// end to end.
     ///
     /// # Errors
     ///
     /// Propagates the first device error any writer hit.
-    pub fn copy_staged(
+    pub fn copy_frame(
         &self,
         ctx: PipelineCtx<'_>,
         src: &dyn SnapshotSource,
         lease: &SlotLease,
         total: ByteSize,
-    ) -> Result<u64, PccheckError> {
+        digest: u64,
+        mode: FrameMode,
+    ) -> Result<FramedPlan, PccheckError> {
         let pool = self.pool();
-        // Stage all chunks (blocks on the pool if DRAM is scarce).
-        let copy_start = ctx.telemetry.now_nanos();
-        let chunk = pool.chunk_size();
-        let mut chunk_digests = self.digest_table_fits(total, chunk).then(Vec::new);
-        let mut staged = Vec::new();
-        let mut off = 0u64;
-        while off < total.as_u64() {
-            let n = chunk.as_u64().min(total.as_u64() - off) as usize;
-            let mut buf = pool.acquire();
-            src.copy_range_to_host(off, &mut buf.as_mut_slice()[..n]);
-            if let Some(d) = chunk_digests.as_mut() {
-                d.push(chunk_digest(&buf.as_slice()[..n]));
-            }
-            ctx.telemetry.chunk(ctx.span, Phase::GpuCopy, off, n as u64);
-            staged.push((off, n, buf));
-            off += n as u64;
-        }
-        if let Some(digests) = chunk_digests {
-            self.park_digests(lease, chunk.as_u64(), total, digests);
-        }
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::GpuCopy, copy_start);
-        self.store.flight().record(
-            FlightEventKind::CopyDone,
-            lease.counter,
-            lease.slot,
-            0,
-            total.as_u64(),
-            0,
-        );
-        // Persist with p writers, chunks dealt round-robin.
-        let persist_start = ctx.telemetry.now_nanos();
-        let results: Mutex<Vec<PccheckError>> = Mutex::new(Vec::new());
-        let abort = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            let mut feed = self.spawn_chunk_writers(s, ctx, lease, &results, &abort);
-            staged.into_iter().for_each(|chunk| feed.send(chunk));
+        let chunk = pool.chunk_size().as_u64();
+        let total = total.as_u64();
+        let capacity = self.store.frame_capacity();
+        let policy = mode
+            .codec
+            .filter(|_| total.div_ceil(chunk) <= capacity as u64);
+        // Cross-checkpoint dedup bases on the job's latest committed
+        // checkpoint, bounded by the same chain policy as deltas: every
+        // base reference pins the base's slot via a `DeltaLink`.
+        let base = policy.and_then(|policy| {
+            let b = self.store.latest_committed_for(lease)?;
+            let depth = b.delta.map_or(0, |l| l.chain_depth);
+            (depth < policy.max_chain).then_some((b.counter, b.slot, depth))
         });
-        if let Some(e) = results.into_inner().into_iter().next() {
-            return Err(e);
+        let packing = Packing::default();
+        let run = |feed: &mut WriterFeed<'_>| {
+            let copy_start = ctx.telemetry.now_nanos();
+            let mut raw = RawFrame::new(total, chunk, capacity);
+            let mut records: Vec<FrameRecord> = Vec::new();
+            // Content address → (record, logical offset) of the first
+            // materialized chunk with it.
+            let mut self_seen: HashMap<u64, (usize, u64)> = HashMap::new();
+            let mut scratch = Vec::new();
+            let mut staged = Vec::new();
+            let mut off = 0u64;
+            while off < total && !feed.aborted() {
+                let n = chunk.min(total - off) as usize;
+                let mut buf = pool.acquire();
+                src.copy_range_to_host(off, &mut buf.as_mut_slice()[..n]);
+                ctx.telemetry.chunk(ctx.span, Phase::GpuCopy, off, n as u64);
+                let data = &buf.as_slice()[..n];
+                let place = match policy {
+                    None => {
+                        raw.feed(data);
+                        Some(Place::At(off))
+                    }
+                    Some(_) => {
+                        let d = chunk_digest(data);
+                        let i = records.len();
+                        let repeat = self_seen.get(&d).copied().filter(|&(j, j_off)| {
+                            records[j].logical_len == n as u64 && {
+                                scratch.resize(n, 0);
+                                src.copy_range_to_host(j_off, &mut scratch);
+                                scratch == data
+                            }
+                        });
+                        let lookup = || {
+                            let (counter, _, _) = base?;
+                            let dedup = self.codec.dedup.lock();
+                            dedup.lookup(lease.job(), counter, d, n as u64)
+                        };
+                        let len = n as u64;
+                        let (record, place) = if let Some((j, _)) = repeat {
+                            (FrameRecord::dedup_self(j, len, d), None)
+                        } else if let Some(hit) = lookup() {
+                            (FrameRecord::dedup_base(hit, len, d), None)
+                        } else {
+                            self_seen.entry(d).or_insert((i, off));
+                            // Placed after the writers drain.
+                            let record = FrameRecord::stored(ChunkEncoding::Raw, 0, 0, len, d);
+                            (record, Some(Place::Pack(i)))
+                        };
+                        records.push(record);
+                        place
+                    }
+                };
+                if let Some(place) = place {
+                    let c = (place, n, buf);
+                    if mode.staged {
+                        staged.push(c);
+                    } else {
+                        feed.send(c);
+                    }
+                }
+                off += n as u64;
+            }
+            ctx.telemetry
+                .phase_done(ctx.span, Phase::GpuCopy, copy_start);
+            if off >= total {
+                self.store.flight().record(
+                    FlightEventKind::CopyDone,
+                    lease.counter,
+                    lease.slot,
+                    0,
+                    total,
+                    0,
+                );
+            }
+            // A staged copy starts persisting once the snapshot is in DRAM.
+            let staged_end = if mode.staged {
+                ctx.telemetry.now_nanos()
+            } else {
+                0
+            };
+            staged.into_iter().for_each(|c| feed.send(c));
+            let records = match policy {
+                // Cut short by a writer's error, which run_writers returns.
+                None if off < total => Vec::new(),
+                None => raw.finish(lease.counter).records,
+                Some(_) => records,
+            };
+            (staged_end, records)
+        };
+        // An aborted copy returns the writer's error and writes no table.
+        let ((staged_end, records), first_writer) = self.run_writers(ctx, lease, &packing, run)?;
+        let persist_start = staged_end.max(first_writer);
+        let mut table = FrameTable {
+            counter: lease.counter,
+            logical_len: total,
+            records,
+        };
+        let packed = match policy {
+            None => total,
+            Some(_) => {
+                for (i, kind, off, len) in packing.placed.into_inner() {
+                    let r = &mut table.records[i];
+                    *r = FrameRecord::stored(kind, off, len, r.logical_len, r.digest);
+                }
+                packing.cursor.into_inner()
+            }
+        };
+        // The table goes last, after every record it describes. It is not a
+        // chunk, so the per-chunk stage histograms leave it out; the
+        // device's persisted-byte count includes it.
+        let table_len = self.store.write_frame_table(lease, packed, &table)?;
+        self.store.persist_payload(lease, packed, table_len)?;
+
+        let dedup_chunks = table
+            .records
+            .iter()
+            .filter(|r| !r.kind.is_materialized())
+            .count() as u64;
+        let saved_bytes = total.saturating_sub(packed + table_len);
+        if policy.is_some() {
+            ctx.telemetry.add_codec_bytes_saved(saved_bytes);
+            ctx.telemetry.add_dedup_chunks(dedup_chunks);
+            ctx.telemetry
+                .gauge_compression_ratio((packed + table_len) * 1000 / total.max(1));
         }
-        Ok(persist_start)
+        let link = table.references_base().then(|| {
+            let (base_counter, base_slot, base_depth) =
+                base.expect("base references require a dedup base");
+            DeltaLink {
+                base_counter,
+                base_slot,
+                chain_depth: base_depth + 1,
+            }
+        });
+        Ok(FramedPlan {
+            persist_start,
+            payload_len: packed,
+            digest,
+            link,
+            logical_len: total,
+            saved_bytes,
+            dedup_chunks,
+            table,
+        })
     }
 
-    /// Pipelined copy (Figure 7): a producer copies chunks from the GPU
-    /// while `p` writer threads persist already-copied chunks; each DRAM
-    /// buffer returns to the pool the moment its chunk is durable.
+    /// Pipelined copy (Figure 7) with the codec off: the chunk loop of
+    /// [`copy_frame`](Self::copy_frame) committing an all-`Raw` frame of
+    /// `total` packed bytes. Commit it with [`commit`](Self::commit) and the
+    /// full-state digest.
     ///
     /// Returns the persist-phase start timestamp (the phases overlap, so
     /// it coincides with the copy start).
@@ -623,77 +793,37 @@ impl PersistPipeline {
         lease: &SlotLease,
         total: ByteSize,
     ) -> Result<u64, PccheckError> {
-        let pool = self.pool();
-        let start = ctx.telemetry.now_nanos();
-        let results: Mutex<Vec<PccheckError>> = Mutex::new(Vec::new());
-        // First device error aborts the stream: writers stop issuing I/O
-        // (they keep draining the channel so the producer never deadlocks
-        // on a full pool) and the producer stops copying and enqueueing.
-        let abort = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            let mut feed = self.spawn_chunk_writers(s, ctx, lease, &results, &abort);
-            // Producer: GPU→DRAM chunk copies. Per-chunk digests fold in
-            // here, where the bytes are already hot in cache.
-            let chunk = pool.chunk_size();
-            let mut chunk_digests = self.digest_table_fits(total, chunk).then(Vec::new);
-            let mut off = 0u64;
-            while off < total.as_u64() && !abort.load(Ordering::Acquire) {
-                let n = chunk.as_u64().min(total.as_u64() - off) as usize;
-                let mut buf = pool.acquire();
-                src.copy_range_to_host(off, &mut buf.as_mut_slice()[..n]);
-                if let Some(d) = chunk_digests.as_mut() {
-                    d.push(chunk_digest(&buf.as_slice()[..n]));
-                }
-                ctx.telemetry.chunk(ctx.span, Phase::GpuCopy, off, n as u64);
-                feed.send((off, n, buf));
-                off += n as u64;
-            }
-            ctx.telemetry.phase_done(ctx.span, Phase::GpuCopy, start);
-            if off >= total.as_u64() {
-                self.store.flight().record(
-                    FlightEventKind::CopyDone,
-                    lease.counter,
-                    lease.slot,
-                    0,
-                    total.as_u64(),
-                    0,
-                );
-                if let Some(digests) = chunk_digests {
-                    self.park_digests(lease, chunk.as_u64(), total, digests);
-                }
-            }
-            drop(feed); // writers drain and exit
-        });
-        if let Some(e) = results.into_inner().into_iter().next() {
-            return Err(e);
-        }
-        Ok(start)
+        // The caller's `commit` records the digest; the plan's is unused.
+        self.copy_frame(ctx, src, lease, total, 0, FrameMode::default())
+            .map(|plan| plan.persist_start)
     }
 
-    /// The logical state length a committed checkpoint represents,
-    /// regardless of how it is stored: a framed payload answers from its
-    /// frame header, an extent delta from its table's `full_len`, and a
-    /// legacy full checkpoint is its own logical image. 0 when the head
-    /// is unreadable (the caller's size check then forces a full
-    /// fallback).
-    fn base_logical_len(&self, base: &crate::meta::CheckMeta) -> u64 {
-        let off = self.store.slot_payload_offset(base.slot);
-        if base.payload_len >= crate::codec::FRAME_HEADER as u64 {
-            let mut head = [0u8; crate::codec::FRAME_HEADER];
-            if self.store.device().read_durable_at(off, &mut head).is_ok()
-                && u64::from_le_bytes(head[..8].try_into().expect("8 bytes"))
-                    == crate::codec::FRAME_MAGIC
-            {
-                return u64::from_le_bytes(head[24..32].try_into().expect("8 bytes"));
-            }
-        }
-        if base.delta.is_some() {
-            self.read_extent_table(base.slot, base.payload_len)
-                .map(|t| t.full_len)
-                .unwrap_or(0)
-        } else {
-            base.payload_len
-        }
+    /// Codec copy: the chunk loop of [`copy_frame`](Self::copy_frame),
+    /// streamed, with the codec choosing record kinds. Always `Some`: the
+    /// codec only picks record kinds, so an incompressible snapshot
+    /// commits an all-`Raw` frame.
+    ///
+    /// `full_digest` is the digest of the complete logical state; restore
+    /// verifies the reconstructed payload against it end to end.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first device error any writer hit.
+    pub fn copy_framed(
+        &self,
+        ctx: PipelineCtx<'_>,
+        src: &dyn SnapshotSource,
+        lease: &SlotLease,
+        total: ByteSize,
+        full_digest: u64,
+        policy: DeltaPolicy,
+    ) -> Result<Option<FramedPlan>, PccheckError> {
+        let mode = FrameMode {
+            codec: Some(policy),
+            ..FrameMode::default()
+        };
+        self.copy_frame(ctx, src, lease, total, full_digest, mode)
+            .map(Some)
     }
 
     /// Reads and authenticates the extent table at the head of a delta
@@ -708,11 +838,11 @@ impl PersistPipeline {
         self.store.device().read_durable_at(base_off, &mut buf)?;
         Ok(ExtentTable::decode(&buf)?)
     }
-
     /// Incremental copy: persists only the snapshot's dirty extents
     /// (`[extent table][packed dirty bytes]`) into the leased slot,
-    /// streaming the packed bytes through the same overlapped
-    /// producer/writer machinery as [`copy_streamed`](Self::copy_streamed).
+    /// streaming the packed bytes through the same writers as
+    /// [`copy_frame`](Self::copy_frame), with a producer that walks the
+    /// dirty extents.
     ///
     /// Falls back to a full `copy_streamed` — returning
     /// [`DeltaPlan::Full`] — when there is no committed base, the base
@@ -758,7 +888,14 @@ impl PersistPipeline {
             None => None,
             Some(base) => {
                 let base_depth = base.delta.map_or(0, |l| l.chain_depth);
-                let base_full_len = self.base_logical_len(base);
+                // A frame names its logical length; an extent delta its
+                // table's `full_len`.
+                let base_full_len = match self.store.read_frame(base) {
+                    Some(frame) => frame.logical_len,
+                    None => self
+                        .read_extent_table(base.slot, base.payload_len)
+                        .map_or(0, |t| t.full_len),
+                };
                 let table_len = ExtentTable::encoded_len_for(dirty.len());
                 let fits = table_len + dirty_bytes < total.as_u64()
                     && table_len + dirty_bytes <= self.store.slot_size().as_u64();
@@ -776,30 +913,27 @@ impl PersistPipeline {
 
         let pool = self.pool();
         let start = ctx.telemetry.now_nanos();
-        let results: Mutex<Vec<PccheckError>> = Mutex::new(Vec::new());
-        let abort = AtomicBool::new(false);
-        let mut extent_digests: Vec<u64> = Vec::with_capacity(dirty.len());
-        std::thread::scope(|s| {
-            let mut feed = self.spawn_chunk_writers(s, ctx, lease, &results, &abort);
-            // Producer: copy each dirty extent from the snapshot, packing
-            // them back to back after the table and folding the per-extent
-            // digest as the chunks stream by.
-            let chunk = pool.chunk_size();
+        // Producer: copy each dirty extent from the snapshot, packing them
+        // back to back after the table and folding the per-extent digest
+        // as the chunks stream by.
+        let copy_extents = |feed: &mut WriterFeed<'_>| {
+            let chunk = pool.chunk_size().as_u64();
+            let mut extent_digests: Vec<u64> = Vec::with_capacity(dirty.len());
             let mut dst = table_len;
             'extents: for &(ext_off, ext_len) in &dirty {
                 let mut h = FNV_SEED;
                 let mut done = 0u64;
                 while done < ext_len {
-                    if abort.load(Ordering::Acquire) {
+                    if feed.aborted() {
                         break 'extents;
                     }
-                    let n = chunk.as_u64().min(ext_len - done) as usize;
+                    let n = chunk.min(ext_len - done) as usize;
                     let mut buf = pool.acquire();
                     src.copy_range_to_host(ext_off + done, &mut buf.as_mut_slice()[..n]);
                     h = fnv1a_fold(h, &buf.as_slice()[..n]);
                     ctx.telemetry
                         .chunk(ctx.span, Phase::GpuCopy, ext_off + done, n as u64);
-                    feed.send((dst, n, buf));
+                    feed.send((Place::At(dst), n, buf));
                     done += n as u64;
                     dst += n as u64;
                 }
@@ -816,11 +950,10 @@ impl PersistPipeline {
                     0,
                 );
             }
-            drop(feed);
-        });
-        if let Some(e) = results.into_inner().into_iter().next() {
-            return Err(e);
-        }
+            extent_digests
+        };
+        let (extent_digests, _) =
+            self.run_writers(ctx, lease, &Packing::default(), copy_extents)?;
 
         // Build and persist the extent table at the head of the slot.
         let map_start = ctx.telemetry.now_nanos();
@@ -875,9 +1008,6 @@ impl PersistPipeline {
         link: DeltaLink,
     ) -> Result<CommitOutcome, PccheckError> {
         let commit_start = ctx.telemetry.now_nanos();
-        // Delta payloads carry per-extent digests in their extent table
-        // already; any digests parked for this slot are stale leftovers.
-        self.pending_digests.lock().remove(&lease.slot);
         let outcome =
             self.store
                 .commit_with_delta(lease, iteration, payload_len, payload_digest, Some(link));
@@ -937,273 +1067,10 @@ impl PersistPipeline {
         }
     }
 
-    /// Codec copy: stages the snapshot, content-addresses every chunk,
-    /// deduplicates byte-identical chunks (within this frame and against
-    /// the latest committed checkpoint's frame), entropy-gate-compresses
-    /// the rest, and persists `[frame table][packed chunks]` into the
-    /// leased slot. The table is written *last* so a torn frame is never
-    /// mistaken for a complete one — the same ordering discipline as the
-    /// delta path's extent table.
-    ///
-    /// Returns `Ok(None)` — persisting nothing — when the codec path is
-    /// inapplicable or unprofitable: the staging pool cannot hold the
-    /// whole snapshot at once, the physical payload would not be smaller
-    /// than the raw one, or it would overflow the slot. The caller then
-    /// falls back to a raw copy path; the slot is untouched.
-    ///
-    /// `full_digest` is the digest of the complete logical state (what
-    /// [`commit`](Self::commit) would be given on the raw path); restore
-    /// verifies the reconstructed payload against it end to end.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first device error any writer hit.
-    pub fn copy_framed(
-        &self,
-        ctx: PipelineCtx<'_>,
-        src: &dyn SnapshotSource,
-        lease: &SlotLease,
-        total: ByteSize,
-        full_digest: u64,
-        policy: DeltaPolicy,
-    ) -> Result<Option<FramedPlan>, PccheckError> {
-        let pool = self.pool();
-        let chunk = pool.chunk_size();
-        let n_chunks = chunk_count(total.as_u64(), chunk.as_u64());
-        // The codec stages the whole snapshot (dedup needs every chunk's
-        // content address before any byte is packed); a pool smaller than
-        // the snapshot would deadlock on `acquire`.
-        if n_chunks == 0 || pool.total_chunks() < n_chunks {
-            return Ok(None);
-        }
-
-        // Stage all chunks, folding each content address while the bytes
-        // are hot in cache.
-        let copy_start = ctx.telemetry.now_nanos();
-        let mut staged: Vec<(u64, usize, HostBuffer, u64)> = Vec::with_capacity(n_chunks);
-        let mut off = 0u64;
-        while off < total.as_u64() {
-            let n = chunk.as_u64().min(total.as_u64() - off) as usize;
-            let mut buf = pool.acquire();
-            src.copy_range_to_host(off, &mut buf.as_mut_slice()[..n]);
-            let digest = chunk_digest(&buf.as_slice()[..n]);
-            ctx.telemetry.chunk(ctx.span, Phase::GpuCopy, off, n as u64);
-            staged.push((off, n, buf, digest));
-            off += n as u64;
-        }
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::GpuCopy, copy_start);
-        self.store.flight().record(
-            FlightEventKind::CopyDone,
-            lease.counter,
-            lease.slot,
-            0,
-            total.as_u64(),
-            0,
-        );
-
-        // Cross-checkpoint dedup bases on the job's latest committed
-        // checkpoint, bounded by the same chain policy as deltas: every
-        // base reference pins the base's slot via a `DeltaLink`.
-        let base = self.store.latest_committed_for(lease);
-        let cross = base.as_ref().and_then(|b| {
-            let base_depth = b.delta.map_or(0, |l| l.chain_depth);
-            (base_depth < policy.max_chain).then_some((b.counter, b.slot, base_depth))
-        });
-
-        let persist_start = ctx.telemetry.now_nanos();
-
-        // Classify every chunk: self-dedup (byte compare — exact), then
-        // base dedup (content address against the pinned generation), then
-        // materialize.
-        let mut records: Vec<FrameRecord> = Vec::with_capacity(staged.len());
-        let mut self_seen: HashMap<u64, usize> = HashMap::new();
-        let mut materialized: Vec<usize> = Vec::new();
-        {
-            let dedup = self.codec.dedup.lock();
-            for (i, (_, n, buf, digest)) in staged.iter().enumerate() {
-                if let Some(&j) = self_seen.get(digest) {
-                    let (_, jn, jbuf, _) = &staged[j];
-                    if jn == n && jbuf.as_slice()[..*jn] == buf.as_slice()[..*n] {
-                        records.push(FrameRecord {
-                            kind: ChunkEncoding::DedupSelf,
-                            aux: j as u32,
-                            logical_len: *n as u64,
-                            a: 0,
-                            b: 0,
-                            digest: *digest,
-                        });
-                        continue;
-                    }
-                }
-                if let Some((base_counter, _, _)) = cross {
-                    if let Some(hit) = dedup.lookup(lease.job(), base_counter, *digest, *n as u64) {
-                        records.push(FrameRecord {
-                            kind: ChunkEncoding::DedupBase,
-                            aux: hit.slot,
-                            logical_len: *n as u64,
-                            a: hit.counter,
-                            b: hit.logical_off,
-                            digest: *digest,
-                        });
-                        continue;
-                    }
-                }
-                self_seen.entry(*digest).or_insert(i);
-                materialized.push(i);
-                // Placeholder; phys offset/len assigned after compression.
-                records.push(FrameRecord {
-                    kind: ChunkEncoding::Raw,
-                    aux: 0,
-                    logical_len: *n as u64,
-                    a: 0,
-                    b: 0,
-                    digest: *digest,
-                });
-            }
-        }
-
-        // Compress materialized chunks with the writer pool's parallelism
-        // (compression is the CPU-bound stage; the entropy gate keeps
-        // dense payloads cheap).
-        let p = self.writers();
-        let compressed: Mutex<HashMap<usize, Vec<u8>>> = Mutex::new(HashMap::new());
-        std::thread::scope(|s| {
-            for w in 0..p {
-                let materialized = &materialized;
-                let staged = &staged;
-                let compressed = &compressed;
-                s.spawn(move || {
-                    for &i in materialized.iter().skip(w).step_by(p) {
-                        let (_, n, buf, _) = &staged[i];
-                        if let Some(c) = compress_gated(&buf.as_slice()[..*n]) {
-                            compressed.lock().insert(i, c);
-                        }
-                    }
-                });
-            }
-        });
-        let mut compressed = compressed.into_inner();
-
-        // Pack materialized chunks back to back after the table.
-        let mut phys = 0u64;
-        for &i in &materialized {
-            let n = staged[i].1;
-            let (kind, len) = match compressed.get(&i) {
-                Some(c) if c.len() < n => (ChunkEncoding::Lz, c.len() as u64),
-                _ => {
-                    compressed.remove(&i);
-                    (ChunkEncoding::Raw, n as u64)
-                }
-            };
-            records[i].kind = kind;
-            records[i].a = phys;
-            records[i].b = len;
-            phys += len;
-        }
-
-        let table_len = FrameTable::encoded_len_for(records.len());
-        let physical = table_len + phys;
-        if physical >= total.as_u64() || physical > self.store.slot_size().as_u64() {
-            // Nothing written yet: the caller streams the payload raw.
-            return Ok(None);
-        }
-
-        // Persist the packed chunks with p writers, round-robin — then the
-        // table, last.
-        let jobs: Vec<(u64, usize)> = materialized
-            .iter()
-            .filter(|&&i| records[i].kind.is_materialized())
-            .map(|&i| (table_len + records[i].a, i))
-            .collect();
-        let results: Mutex<Vec<PccheckError>> = Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            for w in 0..p {
-                let jobs = &jobs;
-                let staged = &staged;
-                let records = &records;
-                let compressed = &compressed;
-                let results = &results;
-                s.spawn(move || {
-                    let actor_start = ctx.telemetry.now_nanos();
-                    let mut actor_bytes = 0u64;
-                    let mut media_nanos = 0u64;
-                    for (dst, i) in jobs.iter().skip(w).step_by(p) {
-                        let data: &[u8] = match compressed.get(i) {
-                            Some(c) => c,
-                            None => &staged[*i].2.as_slice()[..staged[*i].1],
-                        };
-                        debug_assert_eq!(data.len() as u64, records[*i].b);
-                        match self.write_and_fence_chunk(ctx, lease, *dst, data) {
-                            Ok(media) => {
-                                actor_bytes += data.len() as u64;
-                                media_nanos += media;
-                            }
-                            Err(e) => results.lock().push(e),
-                        }
-                    }
-                    if actor_bytes > 0 && ctx.telemetry.is_enabled() {
-                        ctx.telemetry.actor_span_split(
-                            ctx.span,
-                            &format!("writer-{w}"),
-                            actor_start,
-                            actor_bytes,
-                            media_nanos,
-                        );
-                    }
-                });
-            }
-        });
-        drop(staged); // chunks return to the pool
-        if let Some(e) = results.into_inner().into_iter().next() {
-            return Err(e);
-        }
-
-        let table = FrameTable {
-            counter: lease.counter,
-            logical_len: total.as_u64(),
-            full_digest,
-            records,
-        };
-        let table_bytes = table.encode();
-        debug_assert_eq!(table_bytes.len() as u64, table_len);
-        self.write_and_fence_chunk(ctx, lease, 0, &table_bytes)?;
-
-        let dedup_chunks = table
-            .records
-            .iter()
-            .filter(|r| !r.kind.is_materialized())
-            .count() as u64;
-        let saved_bytes = total.as_u64() - physical;
-        ctx.telemetry.add_codec_bytes_saved(saved_bytes);
-        ctx.telemetry.add_dedup_chunks(dedup_chunks);
-        ctx.telemetry
-            .gauge_compression_ratio(physical * 1000 / total.as_u64().max(1));
-
-        let link = table.references_base().then(|| {
-            let (base_counter, base_slot, base_depth) =
-                cross.expect("base references require a dedup base");
-            DeltaLink {
-                base_counter,
-                base_slot,
-                chain_depth: base_depth + 1,
-            }
-        });
-        Ok(Some(FramedPlan {
-            persist_start,
-            payload_len: physical,
-            payload_digest: crate::meta::checksum(&table_bytes),
-            link,
-            logical_len: total.as_u64(),
-            saved_bytes,
-            dedup_chunks,
-            table,
-        }))
-    }
-
-    /// Runs the store's delta-aware CAS commit for a framed payload and,
-    /// on success, installs the frame's materialized chunks as the job's
-    /// next dedup generation. Pairs with [`copy_framed`](Self::copy_framed).
+    /// Runs the store's delta-aware CAS commit for a frame and, on
+    /// success, installs the frame's materialized records as the job's
+    /// next dedup generation. Pairs with
+    /// [`copy_frame`](Self::copy_frame) and [`copy_framed`](Self::copy_framed).
     ///
     /// # Errors
     ///
@@ -1216,17 +1083,12 @@ impl PersistPipeline {
         plan: &FramedPlan,
     ) -> Result<CommitOutcome, PccheckError> {
         let commit_start = ctx.telemetry.now_nanos();
-        let job = lease.job();
-        let slot = lease.slot;
-        let counter = lease.counter;
-        // Framed payloads carry per-chunk digests in the frame table;
-        // digests parked by a copy path are stale leftovers.
-        self.pending_digests.lock().remove(&slot);
+        let (job, slot, counter) = (lease.job(), lease.slot, lease.counter);
         let outcome = self.store.commit_with_delta(
             lease,
             iteration,
             plan.payload_len,
-            plan.payload_digest,
+            plan.digest,
             plan.link,
         )?;
         if outcome == CommitOutcome::Committed {
@@ -1249,8 +1111,8 @@ impl PersistPipeline {
     }
 
     /// One-call codec checkpoint: lease → [`copy_framed`](Self::copy_framed)
-    /// → `seal` → commit, falling back to the raw streamed path when the
-    /// codec declines.
+    /// → `seal` → [`commit_framed`](Self::commit_framed). Returns the
+    /// commit outcome and what was persisted.
     ///
     /// # Errors
     ///
@@ -1262,35 +1124,20 @@ impl PersistPipeline {
         iteration: u64,
         full_digest: u64,
         policy: DeltaPolicy,
-    ) -> Result<(CommitOutcome, FramedOutcome), PccheckError> {
-        let total = src.size();
+    ) -> Result<(CommitOutcome, FramedPlan), PccheckError> {
         let lease = self.lease_for(ctx, None)?;
-        match self.copy_framed(ctx, src, &lease, total, full_digest, policy)? {
-            None => {
-                let persist_start = self.copy_streamed(ctx, src, &lease, total)?;
-                self.seal(ctx, &lease, iteration, total, persist_start)?;
-                let out = self.commit(ctx, lease, iteration, total.as_u64(), full_digest)?;
-                Ok((out, FramedOutcome::Raw))
-            }
-            Some(plan) => {
-                self.seal(
-                    ctx,
-                    &lease,
-                    iteration,
-                    ByteSize::from_bytes(plan.payload_len),
-                    plan.persist_start,
-                )?;
-                let out = self.commit_framed(ctx, lease, iteration, &plan)?;
-                Ok((
-                    out,
-                    FramedOutcome::Framed {
-                        payload_len: plan.payload_len,
-                        saved_bytes: plan.saved_bytes,
-                        dedup_chunks: plan.dedup_chunks,
-                    },
-                ))
-            }
-        }
+        let plan = self
+            .copy_framed(ctx, src, &lease, src.size(), full_digest, policy)?
+            .expect("copy_framed always frames");
+        self.seal(
+            ctx,
+            &lease,
+            iteration,
+            ByteSize::from_bytes(plan.payload_len),
+            plan.persist_start,
+        )?;
+        let out = self.commit_framed(ctx, lease, iteration, &plan)?;
+        Ok((out, plan))
     }
 
     /// Whole-buffer snapshot: copies the entire source into one host
@@ -1313,8 +1160,9 @@ impl PersistPipeline {
     }
 
     /// Whole-buffer persist: leases a slot *after* the copy, writes the
-    /// payload in one piece, fences it, and closes the `Persist` phase
-    /// (the traditional/CheckFreq `P` step).
+    /// payload in one piece followed by its all-`Raw` frame table, fences
+    /// both with one persist, and closes the `Persist` phase (the
+    /// traditional/CheckFreq `P` step).
     ///
     /// # Errors
     ///
@@ -1329,7 +1177,12 @@ impl PersistPipeline {
         let persist_start = ctx.telemetry.now_nanos();
         let lease = self.lease_for(ctx, None)?;
         self.write_chunk(ctx, &lease, 0, payload)?;
-        self.persist_chunk(ctx, &lease, 0, total)?;
+        let mut raw = RawFrame::new(total, WHOLE_RECORD, self.store.frame_capacity());
+        raw.feed(payload);
+        let table_len = self
+            .store
+            .write_frame_table(&lease, total, &raw.finish(lease.counter))?;
+        self.persist_chunk(ctx, &lease, 0, total + table_len)?;
         ctx.telemetry.chunk(ctx.span, Phase::Persist, 0, total);
         ctx.telemetry
             .phase_done(ctx.span, Phase::Persist, persist_start);
@@ -1345,8 +1198,9 @@ impl PersistPipeline {
     }
 
     /// Kernel write-through (GPM): copies the snapshot tile by tile
-    /// straight into the leased slot with no DRAM staging, then issues one
-    /// same-thread fence over the payload. `GpuCopy` and `Persist` overlap
+    /// straight into the leased slot with no DRAM staging, writes the
+    /// all-`Raw` frame table after it, then issues one same-thread fence
+    /// over payload and table. `GpuCopy` and `Persist` overlap
     /// tile-by-tile, so both phases close against the shared `phase_start`.
     ///
     /// # Errors
@@ -1364,21 +1218,26 @@ impl PersistPipeline {
         // A small bounce tile stands in for the kernel's register/shared-
         // memory tile; it never holds the checkpoint (Table 1: DRAM = 0).
         let mut tile = vec![0u8; KERNEL_COPY_CHUNK.min(total.as_usize().max(1))];
+        let mut raw = RawFrame::new(total.as_u64(), WHOLE_RECORD, self.store.frame_capacity());
         let mut off = 0u64;
         while off < total.as_u64() {
             let n = (tile.len() as u64).min(total.as_u64() - off) as usize;
             src.copy_range_to_host(off, &mut tile[..n]);
             ctx.telemetry.chunk(ctx.span, Phase::GpuCopy, off, n as u64);
             self.write_chunk(ctx, lease, off, &tile[..n])?;
+            raw.feed(&tile[..n]);
             ctx.telemetry.chunk(ctx.span, Phase::Persist, off, n as u64);
             off += n as u64;
         }
         ctx.telemetry
             .phase_done(ctx.span, Phase::GpuCopy, phase_start);
+        let table_len =
+            self.store
+                .write_frame_table(lease, total.as_u64(), &raw.finish(lease.counter))?;
         // cudaDeviceSynchronize + msync/fence: one persist over the payload
         // issued by this same (training) thread — correct on both SSD and
         // PMEM because the same thread performed every store.
-        self.persist_chunk(ctx, lease, 0, total.as_u64())?;
+        self.persist_chunk(ctx, lease, 0, total.as_u64() + table_len)?;
         ctx.telemetry
             .phase_done(ctx.span, Phase::Persist, phase_start);
         self.store.flight().record(
@@ -1455,10 +1314,6 @@ impl PersistPipeline {
         digest: u64,
     ) -> Result<CommitOutcome, PccheckError> {
         let commit_start = ctx.telemetry.now_nanos();
-        // The digest table persists before the commit barrier so a reader
-        // that observes the commit also observes the table (or a torn one
-        // it will detect and ignore).
-        self.flush_digest_table(&lease, payload_len, digest)?;
         let outcome = self.store.commit(lease, iteration, payload_len, digest);
         ctx.telemetry
             .phase_done(ctx.span, Phase::Commit, commit_start);
@@ -1478,6 +1333,15 @@ mod tests {
             GpuConfig::fast_for_tests(),
             TrainingState::synthetic(ByteSize::from_bytes(size), seed),
         )
+    }
+
+    /// The serialized training state of `g`.
+    fn state_bytes(g: &Gpu) -> Vec<u8> {
+        g.with_weights(|s| {
+            let mut buf = vec![0u8; s.size().as_usize()];
+            s.serialize_into(&mut buf);
+            buf
+        })
     }
 
     fn ssd_store(state: ByteSize, slots: u32) -> Arc<CheckpointStore> {
@@ -1518,71 +1382,82 @@ mod tests {
         assert_eq!(snap.persist_stage.count, 1);
     }
 
+    /// A 2-writer chunk pipeline over a fresh `slots`-slot SSD store sized
+    /// for `g`, staging through `pool_chunks` chunks of `chunk` bytes.
+    fn chunk_pipeline(g: &Gpu, slots: u32, chunk: u64, pool_chunks: usize) -> PersistPipeline {
+        PersistPipeline::new(ssd_store(g.state_size(), slots))
+            .with_writers(2)
+            .with_staging(HostBufferPool::new(
+                ByteSize::from_bytes(chunk),
+                pool_chunks,
+            ))
+    }
+
+    /// Copies, seals and commits `g`'s state as iteration 1 through the
+    /// chunk loop in `mode`, under a span of an enabled recorder.
+    fn chunk_checkpoint(
+        g: &Gpu,
+        pipeline: &PersistPipeline,
+        mode: FrameMode,
+    ) -> (Telemetry, SpanId) {
+        let telemetry = Telemetry::enabled();
+        let span = telemetry.span_requested("test", 1, g.state_size().as_u64());
+        let ctx = PipelineCtx {
+            telemetry: &telemetry,
+            span,
+        };
+        let guard = g.lock_weights_shared();
+        let digest = guard.digest().0;
+        let total = guard.size();
+        let lease = pipeline.lease_for(ctx, None).unwrap();
+        let plan = pipeline
+            .copy_frame(ctx, &guard, &lease, total, digest, mode)
+            .unwrap();
+        drop(guard);
+        pipeline
+            .seal(ctx, &lease, 1, total, plan.persist_start)
+            .unwrap();
+        let outcome = pipeline
+            .commit(ctx, lease, 1, total.as_u64(), digest)
+            .unwrap();
+        assert_eq!(outcome, CommitOutcome::Committed);
+        (telemetry, span)
+    }
+
     #[test]
     fn staged_and_streamed_paths_agree() {
-        for streamed in [false, true] {
+        for staged in [true, false] {
             let g = gpu(900, 13);
             g.update();
-            let pool = HostBufferPool::new(ByteSize::from_bytes(128), 8);
-            let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 3))
-                .with_writers(2)
-                .with_staging(pool);
-            let telemetry = Telemetry::enabled();
-            let span = telemetry.span_requested("test", 1, 900);
-            let ctx = PipelineCtx {
-                telemetry: &telemetry,
-                span,
+            let pipeline = chunk_pipeline(&g, 3, 128, 8);
+            let mode = FrameMode {
+                staged,
+                ..FrameMode::default()
             };
-            let guard = g.lock_weights_shared();
-            let digest = guard.digest();
-            let total = guard.size();
-            let lease = pipeline.lease_for(ctx, None).unwrap();
-            let persist_start = if streamed {
-                pipeline.copy_streamed(ctx, &guard, &lease, total).unwrap()
-            } else {
-                pipeline.copy_staged(ctx, &guard, &lease, total).unwrap()
-            };
-            drop(guard);
-            pipeline.seal(ctx, &lease, 1, total, persist_start).unwrap();
-            let outcome = pipeline
-                .commit(ctx, lease, 1, total.as_u64(), digest.0)
-                .unwrap();
-            assert_eq!(outcome, CommitOutcome::Committed, "streamed={streamed}");
+            let (telemetry, _) = chunk_checkpoint(&g, &pipeline, mode);
             let snap = telemetry.snapshot().unwrap();
             // 900 bytes in 128-byte chunks: 8 chunks through both stages.
             assert_eq!(snap.gpu_copy_bytes, 900);
             assert_eq!(snap.persist_chunk_bytes, 900);
             assert_eq!(snap.write_stage.count, 8);
             assert_eq!(snap.persist_stage.count, 8);
+            let rec = crate::recovery::recover(Arc::clone(pipeline.store().device())).unwrap();
+            assert_eq!(rec.digest, g.lock_weights_shared().digest().0);
+            assert_eq!(rec.payload, state_bytes(&g), "staged={staged}");
         }
     }
 
     #[test]
     fn chunk_copy_paths_emit_writer_actor_spans() {
-        for streamed in [false, true] {
+        for staged in [true, false] {
             let g = gpu(900, 47);
             g.update();
-            let pool = HostBufferPool::new(ByteSize::from_bytes(128), 8);
-            let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 3))
-                .with_writers(2)
-                .with_staging(pool);
-            let telemetry = Telemetry::enabled();
-            let span = telemetry.span_requested("test", 1, 900);
-            let ctx = PipelineCtx {
-                telemetry: &telemetry,
-                span,
+            let pipeline = chunk_pipeline(&g, 3, 128, 8);
+            let mode = FrameMode {
+                staged,
+                ..FrameMode::default()
             };
-            let guard = g.lock_weights_shared();
-            let total = guard.size();
-            let lease = pipeline.lease_for(ctx, None).unwrap();
-            let persist_start = if streamed {
-                pipeline.copy_streamed(ctx, &guard, &lease, total).unwrap()
-            } else {
-                pipeline.copy_staged(ctx, &guard, &lease, total).unwrap()
-            };
-            drop(guard);
-            pipeline.seal(ctx, &lease, 1, total, persist_start).unwrap();
-
+            let (telemetry, span) = chunk_checkpoint(&g, &pipeline, mode);
             let spans: Vec<(String, u64)> = telemetry
                 .events()
                 .iter()
@@ -1598,13 +1473,13 @@ mod tests {
             let total_bytes: u64 = spans.iter().map(|(_, b)| b).sum();
             assert_eq!(
                 total_bytes, 900,
-                "writer spans account for every chunk (streamed={streamed})"
+                "writer spans account for every chunk (staged={staged})"
             );
             assert!(
                 spans.iter().all(|(a, _)| a.starts_with("writer-")),
-                "streamed={streamed}: {spans:?}"
+                "staged={staged}: {spans:?}"
             );
-            if !streamed {
+            if staged {
                 // Round-robin distribution guarantees both writers worked.
                 assert!(spans.iter().any(|(a, _)| a == "writer-0"));
                 assert!(spans.iter().any(|(a, _)| a == "writer-1"));
@@ -1616,27 +1491,12 @@ mod tests {
     fn deferred_fence_skips_per_chunk_persists_until_seal() {
         let g = gpu(512, 17);
         g.update();
-        let pool = HostBufferPool::new(ByteSize::from_bytes(128), 4);
-        let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 2))
-            .with_writers(2)
-            .with_fence(FenceMode::Deferred)
-            .with_staging(pool);
-        let telemetry = Telemetry::enabled();
-        let span = telemetry.span_requested("test", 1, 512);
-        let ctx = PipelineCtx {
-            telemetry: &telemetry,
-            span,
+        let pipeline = chunk_pipeline(&g, 2, 128, 4).with_fence(FenceMode::Deferred);
+        let staged = FrameMode {
+            staged: true,
+            ..FrameMode::default()
         };
-        let guard = g.lock_weights_shared();
-        let digest = guard.digest();
-        let total = guard.size();
-        let lease = pipeline.lease_for(ctx, None).unwrap();
-        let start = pipeline.copy_staged(ctx, &guard, &lease, total).unwrap();
-        drop(guard);
-        pipeline.seal(ctx, &lease, 1, total, start).unwrap();
-        pipeline
-            .commit(ctx, lease, 1, total.as_u64(), digest.0)
-            .unwrap();
+        let (telemetry, _) = chunk_checkpoint(&g, &pipeline, staged);
         let snap = telemetry.snapshot().unwrap();
         // 4 chunk writes but exactly one (deferred) fence.
         assert_eq!(snap.write_stage.count, 4);
@@ -1720,10 +1580,7 @@ mod tests {
     fn delta_path_persists_only_dirty_extents_and_chains() {
         let g = gpu(1024, 29);
         g.update();
-        let pool = HostBufferPool::new(ByteSize::from_bytes(128), 4);
-        let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 4))
-            .with_writers(2)
-            .with_staging(pool);
+        let pipeline = chunk_pipeline(&g, 4, 128, 4);
         let telemetry = Telemetry::enabled();
         let span = telemetry.span_requested("test", 1, 1024);
         let ctx = PipelineCtx {
@@ -1790,10 +1647,7 @@ mod tests {
     fn chain_length_cap_forces_a_periodic_full_checkpoint() {
         let g = gpu(1024, 37);
         g.update();
-        let pool = HostBufferPool::new(ByteSize::from_bytes(128), 4);
-        let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 6))
-            .with_writers(2)
-            .with_staging(pool);
+        let pipeline = chunk_pipeline(&g, 6, 128, 4);
         let telemetry = Telemetry::disabled();
         let ctx = PipelineCtx {
             telemetry: &telemetry,
@@ -1820,23 +1674,16 @@ mod tests {
     }
 
     #[test]
-    fn streamed_copy_records_a_chunk_digest_table() {
+    fn streamed_copy_commits_an_all_raw_frame() {
         let g = gpu(8192, 41);
         g.update();
-        let pool = HostBufferPool::new(ByteSize::from_kb(4), 4);
-        let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 3))
-            .with_writers(2)
-            .with_staging(pool);
+        let pipeline = chunk_pipeline(&g, 3, 4096, 4);
         let telemetry = Telemetry::disabled();
-        let ctx = PipelineCtx {
-            telemetry: &telemetry,
-            span: SpanId::NONE,
-        };
+        let ctx = test_ctx(&telemetry);
         let guard = g.lock_weights_shared();
         let digest = guard.digest();
         let total = guard.size();
         let lease = pipeline.lease_for(ctx, None).unwrap();
-        let slot = lease.slot;
         let start = pipeline.copy_streamed(ctx, &guard, &lease, total).unwrap();
         drop(guard);
         pipeline.seal(ctx, &lease, 1, total, start).unwrap();
@@ -1845,47 +1692,44 @@ mod tests {
             .unwrap();
         let store = pipeline.store();
         let meta = store.latest_committed().unwrap();
-        assert_eq!(meta.slot, slot);
         let table = store
-            .read_digest_table(&meta)
-            .expect("streamed full checkpoints record a digest table");
-        assert_eq!(table.chunk_len, 4096);
-        assert_eq!(table.digests.len(), 2);
-        assert_eq!(table.payload_digest, meta.digest);
+            .read_frame(&meta)
+            .expect("every committed slot is a frame");
+        assert!(table.is_raw());
+        assert_eq!(table.records.len(), 2, "one record per 4 KiB chunk");
+        // Records sit at their logical offsets: the packed region is the
+        // state image, and each record's content address covers it.
         let payload = store.read_checkpoint(&meta).unwrap();
-        for i in 0..table.digests.len() {
-            let (off, len) = table.chunk_range(i);
-            assert!(table.verify_chunk(i, &payload[off as usize..(off + len) as usize]));
+        for r in &table.records {
+            let bytes = &payload[r.a as usize..(r.a + r.b) as usize];
+            assert_eq!(crate::codec::content_address(bytes), r.digest);
         }
     }
 
     #[test]
-    fn chunks_finer_than_the_digest_region_skip_the_table() {
-        // 900-byte state → capacity for 1 chunk digest, but the pool chunks
-        // at 128 bytes (8 chunks): the table must be skipped, not mangled.
-        let g = gpu(900, 43);
+    fn chunks_finer_than_the_table_share_raw_records() {
+        // 64 KiB in 128-byte chunks is 512 chunks, but the slot's table
+        // holds 64 records: each record spans 8 chunks, and the codec
+        // (which works per chunk) stays off even when requested.
+        let g = gpu(64 * 1024, 43);
         g.update();
-        let pool = HostBufferPool::new(ByteSize::from_bytes(128), 8);
-        let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 3))
-            .with_writers(2)
-            .with_staging(pool);
+        let pipeline = chunk_pipeline(&g, 3, 128, 8).with_codec(true);
         let telemetry = Telemetry::disabled();
-        let ctx = PipelineCtx {
-            telemetry: &telemetry,
-            span: SpanId::NONE,
-        };
+        let ctx = test_ctx(&telemetry);
         let guard = g.lock_weights_shared();
         let digest = guard.digest();
-        let total = guard.size();
-        let lease = pipeline.lease_for(ctx, None).unwrap();
-        let start = pipeline.copy_streamed(ctx, &guard, &lease, total).unwrap();
-        drop(guard);
-        pipeline.seal(ctx, &lease, 1, total, start).unwrap();
-        pipeline
-            .commit(ctx, lease, 1, total.as_u64(), digest.0)
+        let (_, outcome) = pipeline
+            .checkpoint_framed(ctx, &guard, 1, digest.0, DeltaPolicy::default())
             .unwrap();
+        drop(guard);
+        assert_eq!(outcome.payload_len, 64 * 1024);
         let meta = pipeline.store().latest_committed().unwrap();
-        assert!(pipeline.store().read_digest_table(&meta).is_none());
+        let table = pipeline.store().read_frame(&meta).unwrap();
+        assert!(table.is_raw());
+        assert_eq!(table.records.len(), 64);
+        assert!(table.records.iter().all(|r| r.logical_len == 1024));
+        let rec = crate::recovery::recover(Arc::clone(pipeline.store().device())).unwrap();
+        assert_eq!(rec.payload, state_bytes(&g));
     }
 
     #[test]
@@ -2118,23 +1962,17 @@ mod tests {
             .checkpoint_framed(ctx, &src, 1, digest, DeltaPolicy::default())
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
-        let FramedOutcome::Framed {
-            payload_len,
-            saved_bytes,
-            ..
-        } = outcome
-        else {
-            panic!("compressible payload must persist framed, got {outcome:?}");
-        };
-        assert!(payload_len < 4096, "physical {payload_len} < logical");
-        assert_eq!(saved_bytes, 4096 - payload_len);
+        let table_len = FrameTable::encoded_len_for(16);
+        assert!(outcome.payload_len < 2048, "packed {}", outcome.payload_len);
+        assert_eq!(outcome.saved_bytes, 4096 - outcome.payload_len - table_len);
         let meta = pipeline.store().latest_committed().unwrap();
         assert_eq!(
-            meta.payload_len, payload_len,
-            "commit records physical bytes"
+            meta.payload_len, outcome.payload_len,
+            "commit records packed bytes"
         );
+        assert_eq!(meta.digest, digest, "commit records the state digest");
         let snap = telemetry.snapshot().unwrap();
-        assert_eq!(snap.codec_bytes_saved, saved_bytes);
+        assert_eq!(snap.codec_bytes_saved, outcome.saved_bytes);
         assert!(snap.compression_ratio_permille < 1000);
 
         let rec = crate::recovery::recover(device).unwrap();
@@ -2168,17 +2006,11 @@ mod tests {
         let (_, outcome) = pipeline
             .checkpoint_framed(ctx, &src, 1, digest, DeltaPolicy::default())
             .unwrap();
-        let FramedOutcome::Framed {
-            dedup_chunks,
-            payload_len,
-            ..
-        } = outcome
-        else {
-            panic!("repeated chunks must persist framed, got {outcome:?}");
-        };
-        assert_eq!(dedup_chunks, 14, "2 materialized + 14 self-references");
-        // 688-byte table + two 256-byte materialized chunks.
-        assert!(payload_len < 4096 / 2, "physical {payload_len} collapsed");
+        assert_eq!(
+            outcome.dedup_chunks, 14,
+            "2 materialized + 14 self-references"
+        );
+        assert_eq!(outcome.payload_len, 512, "two 256-byte chunks packed");
         let rec = crate::recovery::recover(device).unwrap();
         assert_eq!(rec.payload, data);
     }
@@ -2190,90 +2022,78 @@ mod tests {
         pccheck_util::rng::fill_deterministic(&mut data, 7);
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
+        let checkpoint = |data: &[u8], step: u64| {
+            let src = HostSnapshot {
+                data: data.to_vec(),
+                step,
+            };
+            let digest = pccheck_gpu::SnapshotSource::digest(&src).0;
+            let (commit, outcome) = pipeline
+                .checkpoint_framed(ctx, &src, step, digest, DeltaPolicy::default())
+                .unwrap();
+            assert_eq!(commit, CommitOutcome::Committed);
+            outcome
+        };
 
-        let src1 = HostSnapshot {
+        // Incompressible, nothing to dedup against: an all-Raw frame.
+        let o1 = checkpoint(&data, 1);
+        assert_eq!((o1.payload_len, o1.dedup_chunks), (4096, 0));
+
+        // One chunk changes: the other 15 reference checkpoint 1's records.
+        data[300] ^= 0xA5;
+        let o2 = checkpoint(&data, 2);
+        assert_eq!(o2.dedup_chunks, 15);
+        assert_eq!(o2.payload_len, 256);
+        let meta = pipeline.store().latest_committed().unwrap();
+        assert!(meta.is_delta(), "base references pin the base via a link");
+        assert_eq!(meta.delta.unwrap().base_counter, 1);
+        let rec = crate::recovery::recover(Arc::clone(&device)).unwrap();
+        assert_eq!((rec.iteration, &rec.payload), (2, &data));
+
+        // References are depth-1: checkpoint 2 materialized only chunk 1,
+        // so an unchanged third checkpoint can reference just that one.
+        let o3 = checkpoint(&data, 3);
+        assert_eq!(o3.dedup_chunks, 1);
+        let rec = crate::recovery::recover(device).unwrap();
+        assert_eq!((rec.iteration, rec.payload), (3, data));
+    }
+
+    #[test]
+    fn incompressible_payloads_commit_an_all_raw_frame() {
+        let (device, pipeline) = framed_rig(4096, 256, 16);
+        let mut data = vec![0u8; 4096];
+        pccheck_util::rng::fill_deterministic(&mut data, 99);
+        let src = HostSnapshot {
             data: data.clone(),
             step: 1,
         };
-        let d1 = pccheck_gpu::SnapshotSource::digest(&src1).0;
-        let (_, o1) = pipeline
-            .checkpoint_framed(ctx, &src1, 1, d1, DeltaPolicy::default())
+        let telemetry = Telemetry::disabled();
+        let ctx = test_ctx(&telemetry);
+        let digest = pccheck_gpu::SnapshotSource::digest(&src).0;
+        let (commit, outcome) = pipeline
+            .checkpoint_framed(ctx, &src, 1, digest, DeltaPolicy::default())
             .unwrap();
-        // Incompressible and nothing to dedup against: the first
-        // checkpoint streams raw (all-Raw framing would only add a table).
-        assert_eq!(o1, FramedOutcome::Raw);
+        assert_eq!(commit, CommitOutcome::Committed);
+        assert_eq!((outcome.saved_bytes, outcome.dedup_chunks), (0, 0));
+        let meta = pipeline.store().latest_committed().unwrap();
+        assert_eq!(meta.payload_len, 4096);
+        assert!(pipeline.store().read_frame(&meta).unwrap().is_raw());
+        assert_eq!(crate::recovery::recover(device).unwrap().payload, data);
+    }
 
-        // Second checkpoint: mutate one chunk; with a raw base there is no
-        // installed generation, still raw.
-        data[300] ^= 0xA5;
-        let src2 = HostSnapshot {
+    #[test]
+    fn codec_frames_stream_through_a_pool_smaller_than_the_snapshot() {
+        // 16 chunks through a 4-chunk pool: the codec streams instead of
+        // staging the snapshot, and still compresses and deduplicates.
+        let (device, pipeline) = framed_rig(4096, 256, 4);
+        // Period-4 bytes (compressible); chunk contents repeat every 3.
+        let data: Vec<u8> = (0..4096usize)
+            .map(|i| ((i / 256) % 3 * 7 + i % 4) as u8)
+            .collect();
+        let src = HostSnapshot {
             data: data.clone(),
-            step: 2,
+            step: 1,
         };
-        let d2 = pccheck_gpu::SnapshotSource::digest(&src2).0;
-        let (_, o2) = pipeline
-            .checkpoint_framed(ctx, &src2, 2, d2, DeltaPolicy::default())
-            .unwrap();
-        assert_eq!(o2, FramedOutcome::Raw, "no generation installed yet");
-
-        // Seed a framed generation: make the payload self-redundant once.
-        let half: Vec<u8> = data[..2048].to_vec();
-        let mut doubled = half.clone();
-        doubled.extend_from_slice(&half);
-        let src3 = HostSnapshot {
-            data: doubled.clone(),
-            step: 3,
-        };
-        let d3 = pccheck_gpu::SnapshotSource::digest(&src3).0;
-        let (_, o3) = pipeline
-            .checkpoint_framed(ctx, &src3, 3, d3, DeltaPolicy::default())
-            .unwrap();
-        assert!(
-            matches!(o3, FramedOutcome::Framed { .. }),
-            "self-redundant payload frames: {o3:?}"
-        );
-
-        // Fourth: nearly identical to the third → base dedup kicks in.
-        let mut data4 = doubled.clone();
-        data4[100] ^= 0x5A;
-        let src4 = HostSnapshot {
-            data: data4.clone(),
-            step: 4,
-        };
-        let d4 = pccheck_gpu::SnapshotSource::digest(&src4).0;
-        let (commit, o4) = pipeline
-            .checkpoint_framed(ctx, &src4, 4, d4, DeltaPolicy::default())
-            .unwrap();
-        assert_eq!(commit, CommitOutcome::Committed);
-        let FramedOutcome::Framed {
-            dedup_chunks,
-            payload_len,
-            ..
-        } = o4
-        else {
-            panic!("near-duplicate of a framed base must frame, got {o4:?}");
-        };
-        assert!(
-            dedup_chunks >= 14,
-            "most chunks deduplicate: {dedup_chunks}"
-        );
-        assert!(payload_len < 1024, "tiny physical payload: {payload_len}");
-        let meta = pipeline.store().latest_committed().unwrap();
-        assert!(meta.is_delta(), "base references pin the base via a link");
-        assert_eq!(meta.delta.unwrap().base_counter, 3);
-
-        // Newest recovers through the base-reference resolution path.
-        let rec = crate::recovery::recover(device).unwrap();
-        assert_eq!(rec.iteration, 4);
-        assert_eq!(rec.payload, data4);
-    }
-
-    #[test]
-    fn framed_declines_incompressible_dense_payloads() {
-        let (_device, pipeline) = framed_rig(4096, 256, 16);
-        let mut data = vec![0u8; 4096];
-        pccheck_util::rng::fill_deterministic(&mut data, 99);
-        let src = HostSnapshot { data, step: 1 };
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
         let digest = pccheck_gpu::SnapshotSource::digest(&src).0;
@@ -2281,26 +2101,61 @@ mod tests {
             .checkpoint_framed(ctx, &src, 1, digest, DeltaPolicy::default())
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
-        assert_eq!(outcome, FramedOutcome::Raw, "dense payloads stream raw");
+        assert_eq!(outcome.dedup_chunks, 13);
         let meta = pipeline.store().latest_committed().unwrap();
-        assert_eq!(meta.payload_len, 4096, "raw fallback commits legacy shape");
+        let kinds: Vec<ChunkEncoding> = pipeline
+            .store()
+            .read_frame(&meta)
+            .unwrap()
+            .records
+            .iter()
+            .map(|r| r.kind)
+            .collect();
+        assert!(
+            kinds[..3].iter().all(|&k| k == ChunkEncoding::Lz),
+            "{kinds:?}"
+        );
+        assert!(kinds[3..].iter().all(|&k| k == ChunkEncoding::DedupSelf));
+        assert_eq!(crate::recovery::recover(device).unwrap().payload, data);
     }
 
     #[test]
-    fn framed_declines_when_pool_cannot_stage_the_snapshot() {
-        // 16 chunks needed, pool holds 4: the codec must decline rather
-        // than deadlock on the staging pool.
-        let (_device, pipeline) = framed_rig(4096, 256, 4);
-        let data: Vec<u8> = (0..4096u32).map(|i| (i / 192) as u8).collect();
-        let src = HostSnapshot { data, step: 1 };
+    fn retuning_writers_between_checkpoints_keeps_every_frame_whole() {
+        // The controller retunes the writer width on the training thread
+        // while a shared pipeline streams checkpoints; every copy keeps
+        // the width it started with and every committed frame restores.
+        let (device, pipeline) = framed_rig(4096, 256, 4);
+        let done = Arc::new(AtomicBool::new(false));
+        let tuner = {
+            let (pipeline, done) = (pipeline.clone(), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut w = 1;
+                while !done.load(Ordering::Acquire) {
+                    w = w % 4 + 1;
+                    pipeline.set_writers(w);
+                    std::thread::yield_now();
+                }
+            })
+        };
         let telemetry = Telemetry::disabled();
-        let ctx = test_ctx(&telemetry);
-        let digest = pccheck_gpu::SnapshotSource::digest(&src).0;
-        let (commit, outcome) = pipeline
-            .checkpoint_framed(ctx, &src, 1, digest, DeltaPolicy::default())
-            .unwrap();
-        assert_eq!(commit, CommitOutcome::Committed);
-        assert_eq!(outcome, FramedOutcome::Raw);
+        for step in 1..=24u64 {
+            let data: Vec<u8> = (0..4096u64)
+                .map(|i| ((i / 64 + step * (i / 1024)) % 251) as u8)
+                .collect();
+            let src = HostSnapshot {
+                data: data.clone(),
+                step,
+            };
+            let digest = pccheck_gpu::SnapshotSource::digest(&src).0;
+            let policy = DeltaPolicy::default();
+            pipeline
+                .checkpoint_framed(test_ctx(&telemetry), &src, step, digest, policy)
+                .unwrap();
+            let rec = crate::recovery::recover(Arc::clone(&device)).unwrap();
+            assert_eq!((rec.iteration, rec.payload), (step, data));
+        }
+        done.store(true, Ordering::Release);
+        tuner.join().unwrap();
     }
 
     #[test]
@@ -2320,7 +2175,7 @@ mod tests {
         let (_, o) = pipeline
             .checkpoint_framed(ctx, &src, 1, digest, DeltaPolicy::default())
             .unwrap();
-        assert!(matches!(o, FramedOutcome::Framed { .. }));
+        assert_eq!(o.dedup_chunks, 8);
         assert!(pipeline
             .codec
             .dedup

@@ -79,13 +79,13 @@ pub struct RecoveryTrace {
 ///
 /// The persistent iterator of §4.2, rebuilt on the parallel
 /// [`RestorePipeline`](crate::restore::RestorePipeline): candidates are
-/// verified newest-first, payload reads fan out across
-/// [`RestoreOptions::default`]'s readers, and verification overlaps the
-/// reads (per-chunk when the slot carries a digest table, as an
-/// order-preserving fold otherwise). A delta checkpoint is reconstructed
-/// by fetching its chain layers in parallel and replaying every extent
-/// table with per-extent digest verification; verified layers are cached
-/// across candidates within the pass. If the newest committed slot fails
+/// verified newest-first, each frame's record reads fan out across
+/// [`RestoreOptions::default`]'s readers, and every record verifies
+/// against its content address as it lands. An extent-delta checkpoint
+/// is reconstructed by fetching its chain layers in parallel and
+/// replaying every extent table with per-extent digest verification;
+/// verified layers are cached across candidates within the pass. If the
+/// newest committed slot fails
 /// verification — digest mismatch, broken chain, *or a device read
 /// fault* — older intact committed slots are tried newest-first: the
 /// paper keeps `N+1` slots precisely so a torn newest checkpoint degrades
@@ -297,8 +297,8 @@ mod tests {
         for i in 1..=n {
             let payload = format!("payload-{i}");
             let lease = st.begin_checkpoint(None).unwrap();
-            st.write_payload(&lease, 0, payload.as_bytes()).unwrap();
-            st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
+            let written = st.write_whole_frame(&lease, payload.as_bytes()).unwrap();
+            st.persist_payload(&lease, 0, written).unwrap();
             st.commit(lease, i, payload.len() as u64, checksum(payload.as_bytes()))
                 .unwrap();
         }
@@ -366,8 +366,8 @@ mod tests {
         let commit = |job: u64, iter: u64| {
             let payload = format!("job{job}-iter{iter}");
             let lease = st.begin_checkpoint(Some(job)).unwrap();
-            st.write_payload(&lease, 0, payload.as_bytes()).unwrap();
-            st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
+            let written = st.write_whole_frame(&lease, payload.as_bytes()).unwrap();
+            st.persist_payload(&lease, 0, written).unwrap();
             st.commit(
                 lease,
                 iter,
@@ -396,8 +396,43 @@ mod tests {
         assert_eq!(rec.payload, b"job2-iter7");
         // A job with no namespace has no checkpoint.
         assert_eq!(recover_for(&dev, 99), Err(PccheckError::NoCheckpoint));
-        // Unscoped recovery still picks the globally newest commit.
-        assert_eq!(recover(dev).unwrap().iteration, 7);
+    }
+
+    #[test]
+    fn unscoped_recovery_means_the_owner_namespace() {
+        // A service store whose tenants committed but which has no owner
+        // namespace: `job: None` names the owner, like
+        // `begin_checkpoint(None)`, so there is nothing to recover — not
+        // whichever tenant committed last.
+        let slot = ByteSize::from_bytes(64);
+        let cap = CheckpointStore::required_capacity_service(slot, 6, 0, 3) + ByteSize::from_kb(1);
+        let dev: Arc<dyn PersistentDevice> =
+            Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
+        let st = CheckpointStore::format_service(Arc::clone(&dev), slot, 6, 0, 3).unwrap();
+        let commit = |job: u64, iter: u64| {
+            let lease = st.begin_checkpoint(Some(job)).unwrap();
+            let payload = format!("job{job}");
+            let written = st.write_whole_frame(&lease, payload.as_bytes()).unwrap();
+            st.persist_payload(&lease, 0, written).unwrap();
+            st.commit(
+                lease,
+                iter,
+                payload.len() as u64,
+                checksum(payload.as_bytes()),
+            )
+            .unwrap();
+        };
+        st.allocate_namespace(1, 2).unwrap();
+        commit(1, 5);
+        assert_eq!(recover(Arc::clone(&dev)), Err(PccheckError::NoCheckpoint));
+        // Once the owner namespace exists, unscoped recovery is its head
+        // even though tenant 1 committed later.
+        st.allocate_namespace(crate::store::OWNER_JOB, 2).unwrap();
+        commit(crate::store::OWNER_JOB, 6);
+        commit(1, 7);
+        drop(st);
+        let rec = recover(dev).unwrap();
+        assert_eq!((rec.iteration, rec.payload), (6, b"job0".to_vec()));
     }
 
     #[test]
@@ -446,51 +481,9 @@ mod tests {
         assert_eq!(trace.iteration, 3);
     }
 
-    /// Drives `iters` checkpoints through the delta pipeline (first full,
-    /// the rest 10%-sparse deltas) and returns the device, the store, and
-    /// the GPU at its final state.
-    fn delta_chain_setup(iters: u64) -> (Arc<SsdDevice>, Arc<CheckpointStore>, Gpu) {
-        use crate::pipeline::{DeltaPolicy, PersistPipeline, PipelineCtx};
-        use pccheck_device::HostBufferPool;
-
-        let state = TrainingState::synthetic(ByteSize::from_bytes(2048), 7);
-        let gpu = Gpu::new(GpuConfig::fast_for_tests(), state);
-        gpu.update();
-        let cap = CheckpointStore::required_capacity(gpu.state_size(), 4) + ByteSize::from_kb(1);
-        let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let store = Arc::new(
-            CheckpointStore::format(
-                Arc::clone(&ssd) as Arc<dyn PersistentDevice>,
-                gpu.state_size(),
-                4,
-                0,
-            )
-            .unwrap(),
-        );
-        let pipeline = PersistPipeline::new(Arc::clone(&store))
-            .with_writers(2)
-            .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 4));
-        let telemetry = Telemetry::disabled();
-        let ctx = PipelineCtx {
-            telemetry: &telemetry,
-            span: pccheck_telemetry::SpanId::NONE,
-        };
-        for iter in 1..=iters {
-            if iter > 1 {
-                gpu.update_sparse(0.1);
-            }
-            let guard = gpu.lock_weights_shared();
-            let digest = guard.digest();
-            pipeline
-                .checkpoint_delta(ctx, &guard, iter, digest.0, DeltaPolicy::default())
-                .unwrap();
-        }
-        (ssd, store, gpu)
-    }
-
     #[test]
     fn recovery_replays_a_delta_chain() {
-        let (ssd, store, gpu) = delta_chain_setup(3);
+        let (ssd, store, gpu) = crate::restore::tests::delta_store(3);
         let head = store.latest_committed().unwrap();
         assert_eq!(head.delta.unwrap().chain_depth, 2);
         let digest_final = gpu.digest();
@@ -518,7 +511,7 @@ mod tests {
 
     #[test]
     fn torn_delta_payload_falls_back_to_its_base() {
-        let (ssd, store, _gpu) = delta_chain_setup(2);
+        let (ssd, store, _gpu) = crate::restore::tests::delta_store(2);
         let head = store.latest_committed().unwrap();
         assert!(head.is_delta());
         // Corrupt the last packed extent byte of the delta payload; the

@@ -5,75 +5,63 @@
 //! newest committed payload, verify its digest, load it back to the GPU.
 //! On modern devices that serializes three resources that could overlap —
 //! device read bandwidth (striped members especially), digest computation,
-//! and the DRAM→GPU upload. [`RestorePipeline`] overlaps them:
+//! and the DRAM→GPU upload. [`RestorePipeline::fetch`] overlaps them:
 //!
-//! * `r` **reader threads** pull payload chunks concurrently, so an N-way
-//!   striped store restores at close to N× a single reader's bandwidth.
-//! * **Verification overlaps I/O.** When the slot carries a per-chunk
-//!   [`ChunkDigestTable`] (written by the persist pipeline's copy paths),
-//!   every chunk verifies independently right after its read completes.
-//!   Legacy slots without a table fall back to a dedicated verifier thread
-//!   that folds the whole-payload digest in payload order while later
-//!   chunks are still in flight — chunk `i` verifies while chunk `i+1`
-//!   reads.
-//! * **Uploads stream.** Verified chunks can land directly in a
-//!   [`RestoreSink`] (e.g. [`pccheck_gpu::RestoreTarget`]) instead of
-//!   materializing the full payload in DRAM first.
+//! * It reads the slot's frame table and plans one read per stored record
+//!   ([`FrameTable::reads`]); `r` **reader threads** claim those reads, so
+//!   an N-way striped store restores at close to N× a single reader's
+//!   bandwidth.
+//! * **Verification overlaps I/O.** Every record carries its content
+//!   address, so each read verifies on its own the moment it lands —
+//!   concurrently with the other readers' I/O. A frame the codec touched
+//!   is also checked end to end against the commit's state digest.
+//! * **Uploads stream.** Verified records land directly in a
+//!   [`RestoreSink`] (e.g. [`pccheck_gpu::RestoreTarget`]); a DRAM buffer
+//!   is just another sink.
 //!
 //! [`recover_instrumented_with`] rebuilds the crate's recovery flow on top
 //! of this pipeline: candidates fall back newest-first on *any* failure
-//! (digest mismatch **or** device read fault), delta chains fetch all
-//! layers in parallel, and verified layers are cached across candidates
-//! within one recovery pass so a torn newest delta does not force the
-//! shared base to be re-read and re-verified.
+//! (digest mismatch **or** device read fault), extent-delta chains fetch
+//! all layers in parallel, and verified layers are cached across
+//! candidates within one recovery pass so a torn newest delta does not
+//! force the shared root to be re-read and re-verified.
 
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
+use std::cell::Cell;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use pccheck_device::{
-    chunk_digest, fnv1a, fnv1a_fold, ChunkDigestTable, ExtentTable, HostBuffer, HostBufferPool,
-    PersistentDevice, FNV_SEED,
-};
+use pccheck_device::{ExtentTable, PersistentDevice};
 use pccheck_gpu::{Gpu, RestoreTarget};
 use pccheck_telemetry::{FlightEventKind, Phase, Telemetry};
 use pccheck_util::sync::Mutex;
 use pccheck_util::ByteSize;
 
-use crate::codec::{lz_decompress, payload_digest_matches, ChunkEncoding, FrameTable, FRAME_MAGIC};
+use crate::codec::{payload_digest_matches, FrameTable, RecordRead};
 use crate::error::PccheckError;
-use crate::meta::{checksum, CheckMeta};
+use crate::meta::CheckMeta;
 use crate::pipeline::PipelineCtx;
 use crate::recovery::{RecoveredCheckpoint, RecoveryTrace};
-use crate::store::CheckpointStore;
-
-/// Read granularity for slots without a per-chunk digest table.
-const DEFAULT_READ_CHUNK: u64 = 256 * 1024;
+use crate::store::{CheckpointStore, JobId, OWNER_JOB};
 
 /// Knobs for the parallel recovery flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestoreOptions {
     /// Parallel reader threads (`r`). 1 reproduces the sequential path.
     pub readers: usize,
-    /// How many of the newest candidates have their digest tables probed
-    /// concurrently before the first payload fetch starts.
-    pub probe: usize,
     /// Recover only this job's namespace: candidates outside its slot
     /// range are never considered, so one tenant's torn checkpoint can
-    /// never fall back onto another tenant's state. `None` recovers the
-    /// newest checkpoint store-wide (on a `format`ted store, the owner
-    /// namespace's).
-    pub job: Option<crate::store::JobId>,
+    /// never fall back onto another tenant's state. `None` names the owner
+    /// namespace ([`OWNER_JOB`]), as `begin_checkpoint(None)` does — a
+    /// multi-tenant store without one has no checkpoint to recover.
+    pub job: Option<JobId>,
 }
 
 impl Default for RestoreOptions {
     fn default() -> Self {
         RestoreOptions {
             readers: 4,
-            probe: 2,
             job: None,
         }
     }
@@ -94,71 +82,64 @@ impl RestoreSink for RestoreTarget {
     }
 }
 
+/// A DRAM image of the whole state.
+impl RestoreSink for Mutex<Vec<u8>> {
+    fn put(&self, offset: u64, data: &[u8]) {
+        let start = usize::try_from(offset).expect("offset fits in memory");
+        self.lock()[start..start + data.len()].copy_from_slice(data);
+    }
+}
+
 /// The identity of a committed layer: `(counter, slot)`.
 type LayerKey = (u64, u32);
-/// A cached full payload with the full-state digest it verified against
-/// (`None` = the layer failed).
-type FullLayer = Option<(Arc<Vec<u8>>, u64)>;
+/// A cached verified root state (`None` = the layer failed).
+type FullLayer = Option<Arc<Vec<u8>>>;
 /// A cached delta layer: decoded extent table + raw slot payload (`None`
 /// = the layer failed).
 type DeltaLayer = Option<Arc<(ExtentTable, Vec<u8>)>>;
 
-/// Verified layers shared across candidates within one recovery pass.
+/// What one recovery pass has already read, shared across candidates.
 ///
 /// Keyed by `(counter, slot)` — the identity a delta link names. `None`
-/// caches a *failed* layer (torn payload, bad digest): the device contents
-/// cannot change mid-pass, so retrying is wasted I/O.
+/// caches a *failed* lookup or layer (no frame, torn payload, bad
+/// digest): the device contents cannot change mid-pass, so retrying is
+/// wasted I/O.
 #[derive(Debug, Default)]
 pub struct LayerCache {
-    /// Verified full payloads (delta-chain roots) with the full-state
-    /// digest they verified against (for legacy roots that is the meta
-    /// digest; for framed roots, the frame's end-to-end digest).
+    /// Each layer's bound frame table (`None`: the slot holds no frame of
+    /// that commit — an extent delta, or a torn table).
+    frames: HashMap<LayerKey, Option<Arc<FrameTable>>>,
+    /// Verified chain roots (frames).
     full: HashMap<LayerKey, FullLayer>,
     /// Verified delta payloads: decoded extent table + raw slot payload
     /// with every per-extent digest already checked.
     delta: HashMap<LayerKey, DeltaLayer>,
 }
 
-/// Per-fetch accounting the private fetch paths hand back to the recovery
-/// flow (summed verification / sink compute time, in nanoseconds).
-#[derive(Debug, Clone, Copy, Default)]
-struct FetchReport {
-    ok: bool,
-    verify_nanos: u64,
-    upload_nanos: u64,
+impl LayerCache {
+    /// `meta`'s frame table, read through `pipeline`'s store once per pass.
+    fn frame(&mut self, pipeline: &RestorePipeline, meta: &CheckMeta) -> Option<Arc<FrameTable>> {
+        self.frames
+            .entry((meta.counter, meta.slot))
+            .or_insert_with(|| pipeline.store.read_frame(meta).map(Arc::new))
+            .clone()
+    }
 }
 
 /// The multi-reader, verification-overlapped read path over a
 /// [`CheckpointStore`].
 ///
-/// Cloning is cheap; clones share the store, the optional DRAM scratch
-/// pool, and the probed digest-table cache.
+/// Cloning is cheap; clones share the store.
 #[derive(Debug, Clone)]
 pub struct RestorePipeline {
     store: Arc<CheckpointStore>,
     readers: usize,
-    chunk: ByteSize,
-    pool: Option<HostBufferPool>,
-    /// Digest tables probed ahead of the fetches, keyed `(counter, slot)`.
-    /// A present `None` means "probed, no usable table" — don't re-read.
-    tables: Arc<Mutex<HashMap<LayerKey, Option<ChunkDigestTable>>>>,
-    /// Memoized payload-head classification (framed or not), keyed
-    /// `(counter, slot)` — chain walks re-ask per candidate and the device
-    /// contents cannot change mid-pass.
-    framed: Arc<Mutex<HashMap<(u64, u32), bool>>>,
 }
 
 impl RestorePipeline {
-    /// A single-reader pipeline over `store` with the default read chunk.
+    /// A single-reader pipeline over `store`.
     pub fn new(store: Arc<CheckpointStore>) -> Self {
-        RestorePipeline {
-            store,
-            readers: 1,
-            chunk: ByteSize::from_bytes(DEFAULT_READ_CHUNK),
-            pool: None,
-            tables: Arc::new(Mutex::new(HashMap::new())),
-            framed: Arc::new(Mutex::new(HashMap::new())),
-        }
+        RestorePipeline { store, readers: 1 }
     }
 
     /// Sets the number of parallel reader threads (`r`).
@@ -167,102 +148,21 @@ impl RestorePipeline {
         self
     }
 
-    /// Sets the read granularity used for slots without a digest table.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero chunk.
-    pub fn with_read_chunk(mut self, chunk: ByteSize) -> Self {
-        assert!(chunk.as_u64() > 0, "read chunk must be non-zero");
-        self.chunk = chunk;
-        self
-    }
-
-    /// Attaches a DRAM scratch pool bounding how many chunks may be in
-    /// flight between the readers and the verifier/sink.
-    pub fn with_staging(mut self, pool: HostBufferPool) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &Arc<CheckpointStore> {
-        &self.store
-    }
-
-    /// The configured reader count.
-    pub fn readers(&self) -> usize {
-        self.readers
-    }
-
-    /// Concurrently probes the digest tables of the newest `k` candidates
-    /// into the pipeline's cache, so per-candidate fetches don't serialize
-    /// on the table read.
-    pub fn probe(&self, candidates: &[CheckMeta], k: usize) {
-        let k = k.min(candidates.len());
-        match k {
-            0 => {}
-            1 => {
-                let meta = &candidates[0];
-                let table = self.store.read_digest_table(meta);
-                self.tables.lock().insert((meta.counter, meta.slot), table);
-            }
-            _ => {
-                std::thread::scope(|s| {
-                    for meta in &candidates[..k] {
-                        s.spawn(move || {
-                            let table = self.store.read_digest_table(meta);
-                            self.tables.lock().insert((meta.counter, meta.slot), table);
-                        });
-                    }
-                });
-            }
-        }
-    }
-
-    /// The candidate's digest table: probed cache first, device second.
-    fn table_for(&self, meta: &CheckMeta) -> Option<ChunkDigestTable> {
-        if let Some(entry) = self.tables.lock().get(&(meta.counter, meta.slot)) {
-            return entry.clone();
-        }
-        self.store.read_digest_table(meta)
-    }
-
-    /// Reads and verifies `meta`'s payload with the configured readers.
-    ///
-    /// Returns `None` on any device read error or digest mismatch — the
-    /// caller falls back to an older candidate, exactly like a digest
-    /// failure. Never propagates per-candidate read faults as hard errors.
-    pub fn fetch_verified(&self, ctx: PipelineCtx<'_>, meta: &CheckMeta) -> Option<Vec<u8>> {
-        let mut out = vec![0u8; usize::try_from(meta.payload_len).ok()?];
-        let report = self.fetch_into_buffer(ctx, meta, &mut out);
-        report.ok.then_some(out)
-    }
-
-    /// Streams `meta`'s payload into `sink` chunk by chunk as each chunk
-    /// verifies, without materializing the whole payload. Returns whether
-    /// every chunk was read, verified, and delivered.
-    pub fn fetch_streaming(
-        &self,
-        ctx: PipelineCtx<'_>,
-        meta: &CheckMeta,
-        sink: &dyn RestoreSink,
-    ) -> bool {
-        self.fetch_into_sink(ctx, meta, sink).ok
-    }
-
-    /// Per-chunk device read with read-stage telemetry, mirroring the
-    /// persist pipeline's `write_chunk`. Returns the nanoseconds spent in
-    /// the device call (media time, for the reader's queue-wait split).
+    /// Per-read device access with read-stage telemetry, mirroring the
+    /// persist pipeline's `write_chunk`: `off` bytes into `slot`'s payload
+    /// area. Returns the nanoseconds spent in the device call (media time,
+    /// for the reader's queue-wait split).
     fn read_chunk(
         &self,
         ctx: PipelineCtx<'_>,
-        device_off: u64,
-        payload_off: u64,
+        slot: u32,
+        off: u64,
         buf: &mut [u8],
     ) -> Result<u64, PccheckError> {
         let start = ctx.telemetry.now_nanos();
-        self.store.device().read_durable_at(device_off, buf)?;
+        self.store
+            .device()
+            .read_durable_at(self.store.slot_payload_offset(slot) + off, buf)?;
         let mut media = 0;
         if ctx.telemetry.is_enabled() {
             media = ctx.telemetry.now_nanos().saturating_sub(start);
@@ -270,7 +170,7 @@ impl RestorePipeline {
             self.sample_device_queues(ctx);
         }
         ctx.telemetry
-            .chunk(ctx.span, Phase::RestoreRead, payload_off, buf.len() as u64);
+            .chunk(ctx.span, Phase::RestoreRead, off, buf.len() as u64);
         Ok(media)
     }
 
@@ -285,227 +185,117 @@ impl RestorePipeline {
         }
     }
 
-    /// DRAM scratch for streaming paths: the attached pool when its chunks
-    /// are large enough, otherwise an ad-hoc pool bounded at ~2 chunks per
-    /// reader.
-    fn scratch_pool(&self, chunk: u64) -> HostBufferPool {
-        match &self.pool {
-            Some(p) if p.chunk_size().as_u64() >= chunk => p.clone(),
-            _ => HostBufferPool::new(ByteSize::from_bytes(chunk), self.readers * 2 + 2),
-        }
-    }
-
-    fn fetch_into_buffer(
+    /// The one verified fetch: plans `table`'s record reads (resolving
+    /// base references among `candidates`, reading only the referenced
+    /// base records), fans them over the readers, verifies every record's
+    /// content address as it lands, and delivers each to `sink` at every
+    /// logical offset that holds it. `table` must be `meta`'s bound frame
+    /// ([`CheckpointStore::read_frame`]).
+    ///
+    /// Returns the nanoseconds spent decoding and verifying, or `None` on
+    /// any device read error, digest mismatch, or unresolvable reference —
+    /// the caller falls back to an older candidate, exactly like a digest
+    /// failure. The sink may then hold a partial image; a
+    /// [`RestoreTarget`] only goes live on `finish`.
+    pub fn fetch(
         &self,
         ctx: PipelineCtx<'_>,
         meta: &CheckMeta,
-        out: &mut [u8],
-    ) -> FetchReport {
+        table: &FrameTable,
+        candidates: &[CheckMeta],
+        sink: &dyn RestoreSink,
+    ) -> Option<u64> {
         let read_start = ctx.telemetry.now_nanos();
-        let report = match self.table_for(meta) {
-            Some(table) if !table.digests.is_empty() => {
-                self.fetch_table_buffer(ctx, meta, &table, out)
-            }
-            _ => {
-                let out_cell = Mutex::new(out);
-                self.fetch_legacy(ctx, meta, &|off, data| {
-                    let start = usize::try_from(off).expect("offset fits");
-                    out_cell.lock()[start..start + data.len()].copy_from_slice(data);
-                })
-            }
+        let mut base = |slot: u32, counter: u64| {
+            let base = candidates
+                .iter()
+                .find(|c| c.slot == slot && c.counter == counter)?;
+            self.store.read_frame(base)
         };
+        let verify_nanos = table
+            .reads(meta.slot, &mut base)
+            .and_then(|reads| self.fan_out(ctx, &reads, sink));
         ctx.telemetry
             .phase_done(ctx.span, Phase::RestoreRead, read_start);
         ctx.telemetry
             .phase_done(ctx.span, Phase::RestoreVerify, read_start);
-        report
+        verify_nanos
     }
 
-    fn fetch_into_sink(
+    /// [`fetch`](Self::fetch) into a DRAM image of the state. A frame the
+    /// codec touched is also checked end to end against the commit's
+    /// state digest. Returns the image and the verification nanoseconds.
+    pub fn fetch_state(
         &self,
         ctx: PipelineCtx<'_>,
         meta: &CheckMeta,
+        table: &FrameTable,
+        candidates: &[CheckMeta],
+    ) -> Option<(Vec<u8>, u64)> {
+        let sink = Mutex::new(vec![0u8; usize::try_from(table.logical_len).ok()?]);
+        let mut verify_nanos = self.fetch(ctx, meta, table, candidates, &sink)?;
+        let state = sink.into_inner();
+        if !table.is_raw() {
+            let v0 = Instant::now();
+            let ok = payload_digest_matches(&state, meta.iteration, meta.digest);
+            verify_nanos += v0.elapsed().as_nanos() as u64;
+            if !ok {
+                return None;
+            }
+        }
+        Some((state, verify_nanos))
+    }
+
+    /// Runs `reads` on the readers: each takes one contiguous run of
+    /// reads — for a frame whose records sit in logical order, one
+    /// contiguous device range, so the readers of a striped store land on
+    /// different members — resolves and verifies each, and delivers it to
+    /// every target offset.
+    fn fan_out(
+        &self,
+        ctx: PipelineCtx<'_>,
+        reads: &[RecordRead],
         sink: &dyn RestoreSink,
-    ) -> FetchReport {
-        let read_start = ctx.telemetry.now_nanos();
-        let report = match self.table_for(meta) {
-            Some(table) if !table.digests.is_empty() => {
-                self.fetch_table_sink(ctx, meta, &table, sink)
-            }
-            _ => {
-                let upload_nanos = AtomicU64::new(0);
-                let mut report = self.fetch_legacy(ctx, meta, &|off, data| {
-                    let u0 = Instant::now();
-                    sink.put(off, data);
-                    upload_nanos.fetch_add(u0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    ctx.telemetry
-                        .chunk(ctx.span, Phase::RestoreUpload, off, data.len() as u64);
-                });
-                report.upload_nanos = upload_nanos.into_inner();
-                report
-            }
-        };
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::RestoreRead, read_start);
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::RestoreVerify, read_start);
-        report
-    }
-
-    /// Table path, assembling in place: the output buffer splits into one
-    /// contiguous run of chunks per reader, each reader reads straight
-    /// into its run and verifies every chunk against the table the moment
-    /// its read returns.
-    fn fetch_table_buffer(
-        &self,
-        ctx: PipelineCtx<'_>,
-        meta: &CheckMeta,
-        table: &ChunkDigestTable,
-        out: &mut [u8],
-    ) -> FetchReport {
-        let base = self.store.slot_payload_offset(meta.slot);
-        let count = table.digests.len();
-        let readers = self.readers.min(count).max(1);
-        let per = count.div_ceil(readers);
+    ) -> Option<u64> {
         let failed = AtomicBool::new(false);
         let verify_nanos = AtomicU64::new(0);
-
-        // Carve the output into per-reader runs of whole chunks.
-        let mut runs: Vec<(usize, &mut [u8])> = Vec::with_capacity(readers);
-        let mut rest = out;
-        let mut first = 0usize;
-        while first < count {
-            let last = (first + per).min(count);
-            let (start_off, _) = table.chunk_range(first);
-            let end_off = if last == count {
-                table.payload_len
-            } else {
-                table.chunk_range(last).0
-            };
-            let take = usize::try_from(end_off - start_off).expect("run fits");
-            let (head, tail) = rest.split_at_mut(take);
-            runs.push((first, head));
-            rest = tail;
-            first = last;
-        }
-
+        let per = reads.len().div_ceil(self.readers).max(1);
         std::thread::scope(|s| {
-            for (r, (first, run)) in runs.into_iter().enumerate() {
-                let failed = &failed;
-                let verify_nanos = &verify_nanos;
-                s.spawn(move || {
-                    let actor_start = ctx.telemetry.now_nanos();
-                    let (run_base, _) = table.chunk_range(first);
-                    let mut done = 0usize;
-                    let mut media_nanos = 0u64;
-                    for i in first.. {
-                        if done >= run.len() || failed.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let (off, len) = table.chunk_range(i);
-                        let n = usize::try_from(len).expect("chunk fits");
-                        let dst = &mut run[done..done + n];
-                        match self.read_chunk(ctx, base + off, off, dst) {
-                            Ok(media) => media_nanos += media,
-                            Err(_) => {
-                                failed.store(true, Ordering::Release);
-                                break;
-                            }
-                        }
-                        let v0 = Instant::now();
-                        let ok = table.verify_chunk(i, dst);
-                        verify_nanos.fetch_add(v0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        if !ok {
-                            failed.store(true, Ordering::Release);
-                            break;
-                        }
-                        done += n;
-                        debug_assert_eq!(off, run_base + (done as u64 - n as u64));
-                    }
-                    if done > 0 && ctx.telemetry.is_enabled() {
-                        ctx.telemetry.actor_span_split(
-                            ctx.span,
-                            &format!("reader-{r}"),
-                            actor_start,
-                            done as u64,
-                            media_nanos,
-                        );
-                    }
-                });
-            }
-        });
-
-        FetchReport {
-            ok: !failed.load(Ordering::Acquire),
-            verify_nanos: verify_nanos.into_inner(),
-            upload_nanos: 0,
-        }
-    }
-
-    /// Table path, streaming: readers claim chunk indices from a shared
-    /// counter, read into pooled scratch, verify inline, and deliver
-    /// straight to the sink — no ordering, no assembly.
-    fn fetch_table_sink(
-        &self,
-        ctx: PipelineCtx<'_>,
-        meta: &CheckMeta,
-        table: &ChunkDigestTable,
-        sink: &dyn RestoreSink,
-    ) -> FetchReport {
-        let base = self.store.slot_payload_offset(meta.slot);
-        let count = table.digests.len();
-        let readers = self.readers.min(count).max(1);
-        let pool = self.scratch_pool(table.chunk_len.min(table.payload_len));
-        let next = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let verify_nanos = AtomicU64::new(0);
-        let upload_nanos = AtomicU64::new(0);
-
-        std::thread::scope(|s| {
-            for r in 0..readers {
-                let next = &next;
-                let failed = &failed;
-                let verify_nanos = &verify_nanos;
-                let upload_nanos = &upload_nanos;
-                let pool = &pool;
+            for (r, run) in reads.chunks(per).enumerate() {
+                let (failed, verify_nanos) = (&failed, &verify_nanos);
                 s.spawn(move || {
                     let actor_start = ctx.telemetry.now_nanos();
                     let mut actor_bytes = 0u64;
-                    let mut media_nanos = 0u64;
-                    loop {
+                    let (media_nanos, read_nanos) = (Cell::new(0u64), Cell::new(0u64));
+                    let (mut scratch, mut buf) = (Vec::new(), Vec::new());
+                    let mut read = |slot: u32, off: u64, dst: &mut [u8]| {
+                        let r0 = Instant::now();
+                        let media = self.read_chunk(ctx, slot, off, dst);
+                        read_nanos.set(read_nanos.get() + r0.elapsed().as_nanos() as u64);
+                        media
+                            .map(|m| media_nanos.set(media_nanos.get() + m))
+                            .is_ok()
+                    };
+                    for rr in run {
                         if failed.load(Ordering::Acquire) {
                             break;
                         }
-                        // Acquire scratch *before* claiming an index so the
-                        // lowest in-flight chunk always owns a buffer.
-                        let mut buf = pool.acquire();
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        let (off, len) = table.chunk_range(i);
-                        let n = usize::try_from(len).expect("chunk fits");
-                        let data = &mut buf.as_mut_slice()[..n];
-                        match self.read_chunk(ctx, base + off, off, data) {
-                            Ok(media) => media_nanos += media,
-                            Err(_) => {
-                                failed.store(true, Ordering::Release);
-                                break;
-                            }
-                        }
-                        let v0 = Instant::now();
-                        let ok = table.verify_chunk(i, data);
-                        verify_nanos.fetch_add(v0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                        // Resolve time minus its device reads: decode + digest.
+                        let (t0, r0) = (Instant::now(), read_nanos.get());
+                        let ok = rr.resolve(&mut read, &mut scratch, &mut buf);
+                        let spent = t0.elapsed().as_nanos() as u64;
+                        let reading = read_nanos.get() - r0;
+                        verify_nanos.fetch_add(spent.saturating_sub(reading), Ordering::Relaxed);
                         if !ok {
                             failed.store(true, Ordering::Release);
                             break;
                         }
-                        let u0 = Instant::now();
-                        sink.put(off, data);
-                        upload_nanos.fetch_add(u0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        ctx.telemetry
-                            .chunk(ctx.span, Phase::RestoreUpload, off, len);
-                        actor_bytes += len;
+                        for &at in &rr.targets {
+                            sink.put(at, &buf);
+                            ctx.telemetry
+                                .chunk(ctx.span, Phase::RestoreUpload, at, rr.len);
+                        }
+                        actor_bytes += rr.phys_len;
                     }
                     if actor_bytes > 0 && ctx.telemetry.is_enabled() {
                         ctx.telemetry.actor_span_split(
@@ -513,248 +303,30 @@ impl RestorePipeline {
                             &format!("reader-{r}"),
                             actor_start,
                             actor_bytes,
-                            media_nanos,
+                            media_nanos.get(),
                         );
                     }
                 });
             }
         });
-
-        FetchReport {
-            ok: !failed.load(Ordering::Acquire),
-            verify_nanos: verify_nanos.into_inner(),
-            upload_nanos: upload_nanos.into_inner(),
-        }
+        (!failed.into_inner()).then(|| verify_nanos.into_inner())
     }
 
-    /// Legacy path for slots without a digest table: both whole-payload
-    /// digest disciplines are order-dependent folds, so reads fan out
-    /// across the readers while one verifier folds completed chunks in
-    /// payload order — verification of chunk `i` overlaps the read of
-    /// chunk `i+1`.
-    fn fetch_legacy(
-        &self,
-        ctx: PipelineCtx<'_>,
-        meta: &CheckMeta,
-        deliver: &(dyn Fn(u64, &[u8]) + Sync),
-    ) -> FetchReport {
-        let total = meta.payload_len;
-        let base = self.store.slot_payload_offset(meta.slot);
-        let chunk = self.chunk.as_u64();
-        let count = usize::try_from(total.div_ceil(chunk)).expect("chunk count fits");
-        let readers = self.readers.min(count.max(1));
-        let failed = AtomicBool::new(false);
-        let mut verify_nanos = 0u64;
-        let mut h_state = FNV_SEED ^ meta.iteration;
-        let mut h_raw = FNV_SEED;
-        let mut folded = 0usize;
-
-        if count > 0 {
-            let pool = self.scratch_pool(chunk.min(total));
-            let next = AtomicUsize::new(0);
-            let (tx, rx) = sync_channel::<(usize, usize, HostBuffer)>(pool.total_chunks());
-            std::thread::scope(|s| {
-                for r in 0..readers {
-                    let tx = tx.clone();
-                    let next = &next;
-                    let failed = &failed;
-                    let pool = &pool;
-                    s.spawn(move || {
-                        let actor_start = ctx.telemetry.now_nanos();
-                        let mut actor_bytes = 0u64;
-                        let mut media_nanos = 0u64;
-                        loop {
-                            if failed.load(Ordering::Acquire) {
-                                break;
-                            }
-                            // Acquire before claiming: the lowest unfolded
-                            // chunk always holds a buffer, so the verifier can
-                            // always make progress and return buffers.
-                            let mut buf = pool.acquire();
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= count {
-                                break;
-                            }
-                            let off = i as u64 * chunk;
-                            let n = usize::try_from(chunk.min(total - off)).expect("chunk fits");
-                            match self.read_chunk(
-                                ctx,
-                                base + off,
-                                off,
-                                &mut buf.as_mut_slice()[..n],
-                            ) {
-                                Ok(media) => media_nanos += media,
-                                Err(_) => {
-                                    failed.store(true, Ordering::Release);
-                                    break;
-                                }
-                            }
-                            if tx.send((i, n, buf)).is_err() {
-                                break;
-                            }
-                            actor_bytes += n as u64;
-                        }
-                        if actor_bytes > 0 && ctx.telemetry.is_enabled() {
-                            ctx.telemetry.actor_span_split(
-                                ctx.span,
-                                &format!("reader-{r}"),
-                                actor_start,
-                                actor_bytes,
-                                media_nanos,
-                            );
-                        }
-                    });
-                }
-                drop(tx);
-                // Verifier: fold in payload order, buffering the odd
-                // out-of-order arrival.
-                let mut pending: BTreeMap<usize, (usize, HostBuffer)> = BTreeMap::new();
-                while let Ok((i, n, buf)) = rx.recv() {
-                    pending.insert(i, (n, buf));
-                    while let Some((n, buf)) = pending.remove(&folded) {
-                        let data = &buf.as_slice()[..n];
-                        let v0 = Instant::now();
-                        h_state = fnv1a_fold(h_state, data);
-                        h_raw = fnv1a_fold(h_raw, data);
-                        verify_nanos += v0.elapsed().as_nanos() as u64;
-                        deliver(folded as u64 * chunk, data);
-                        folded += 1;
-                    }
-                }
-            });
-        }
-
-        let ok = !failed.load(Ordering::Acquire)
-            && folded == count
-            && (h_state == meta.digest || h_raw == meta.digest);
-        FetchReport {
-            ok,
-            verify_nanos,
-            upload_nanos: 0,
-        }
-    }
-
-    /// Whether `meta`'s payload begins with a chunk-frame table (the codec
-    /// persist path). Unreadable heads count as not framed — the candidate
-    /// then fails verification on whichever path it is routed to.
-    pub fn is_framed(&self, meta: &CheckMeta) -> bool {
-        if meta.payload_len < 8 {
-            return false;
-        }
-        let key = (meta.counter, meta.slot);
-        if let Some(&f) = self.framed.lock().get(&key) {
-            return f;
-        }
-        let mut head = [0u8; 8];
-        let f = self
-            .store
-            .device()
-            .read_durable_at(self.store.slot_payload_offset(meta.slot), &mut head)
-            .is_ok()
-            && u64::from_le_bytes(head) == FRAME_MAGIC;
-        self.framed.lock().insert(key, f);
-        f
-    }
-
-    /// Reads, decodes, and fully materializes a framed (codec) payload:
-    /// decompresses LZ chunks, copies self-dedup references, and resolves
-    /// base-dedup references with one read into the base checkpoint named
-    /// by each record (found among `candidates`). Every chunk re-verifies
-    /// its content address and the reconstructed payload verifies against
-    /// the frame's end-to-end digest.
+    /// Reconstructs the full state an extent-delta candidate represents,
+    /// fetching every uncached chain layer in parallel and reusing `cache`
+    /// across candidates within one recovery pass.
     ///
-    /// Returns `(logical payload, full-state digest)`; `None` on any torn
-    /// table, failed read, or digest mismatch — the caller falls back to
-    /// an older candidate, like every other verification failure.
-    pub fn fetch_framed(
-        &self,
-        ctx: PipelineCtx<'_>,
-        meta: &CheckMeta,
-        candidates: &[CheckMeta],
-    ) -> Option<(Vec<u8>, u64)> {
-        let slot_base = self.store.slot_payload_offset(meta.slot);
-        let mut payload = vec![0u8; usize::try_from(meta.payload_len).ok()?];
-        self.read_chunk(ctx, slot_base, 0, &mut payload).ok()?;
-        let table = FrameTable::decode(&payload)?;
-        let table_len = usize::try_from(table.encoded_len()).ok()?;
-        // The commit's digest is the table checksum: binds frame to meta.
-        if checksum(payload.get(..table_len)?) != meta.digest || table.counter != meta.counter {
-            return None;
-        }
-        let packed = payload.get(table_len..)?;
-
-        let mut out = vec![0u8; usize::try_from(table.logical_len).ok()?];
-        // Base payloads read once per referenced checkpoint, not per chunk.
-        let mut bases: HashMap<LayerKey, Option<(CheckMeta, Vec<u8>)>> = HashMap::new();
-        let mut offsets = Vec::with_capacity(table.records.len());
-        let mut off = 0usize;
-        for r in &table.records {
-            offsets.push(off);
-            let n = usize::try_from(r.logical_len).ok()?;
-            match r.kind {
-                ChunkEncoding::Raw => {
-                    let end = usize::try_from(r.a.checked_add(r.b)?).ok()?;
-                    let src = packed.get(usize::try_from(r.a).ok()?..end)?;
-                    out.get_mut(off..off + n)?.copy_from_slice(src);
-                }
-                ChunkEncoding::Lz => {
-                    let end = usize::try_from(r.a.checked_add(r.b)?).ok()?;
-                    let src = packed.get(usize::try_from(r.a).ok()?..end)?;
-                    let decoded = lz_decompress(src, n)?;
-                    out.get_mut(off..off + n)?.copy_from_slice(&decoded);
-                }
-                ChunkEncoding::DedupSelf => {
-                    // Decode validated aux as a backward materialized
-                    // reference of equal logical length.
-                    let j = offsets[r.aux as usize];
-                    out.copy_within(j..j + n, off);
-                }
-                ChunkEncoding::DedupBase => {
-                    let key = (r.a, r.aux);
-                    let entry = bases.entry(key).or_insert_with(|| {
-                        let base = candidates
-                            .iter()
-                            .find(|c| c.counter == r.a && c.slot == r.aux)?;
-                        let mut buf = vec![0u8; usize::try_from(base.payload_len).ok()?];
-                        self.read_chunk(
-                            ctx,
-                            self.store.slot_payload_offset(base.slot),
-                            0,
-                            &mut buf,
-                        )
-                        .ok()?;
-                        Some((*base, buf))
-                    });
-                    let (base_meta, base_payload) = entry.as_ref()?;
-                    let chunk =
-                        resolve_base_chunk(base_meta, base_payload, r.digest, r.logical_len)?;
-                    out.get_mut(off..off + n)?.copy_from_slice(&chunk);
-                }
-            }
-            // Every chunk re-verifies its content address regardless of how
-            // it was resolved — a stale or colliding base reference fails
-            // here, never silently corrupts.
-            if chunk_digest(out.get(off..off + n)?) != r.digest {
-                return None;
-            }
-            off += n;
-        }
-        payload_digest_matches(&out, meta.iteration, table.full_digest)
-            .then_some((out, table.full_digest))
-    }
-
-    /// Reconstructs the full state a delta candidate represents, fetching
-    /// every uncached chain layer in parallel and reusing `cache` across
-    /// candidates within one recovery pass.
-    ///
-    /// The chain is collected newest→root from the committed candidates;
-    /// the root (a full checkpoint) fetches through the multi-reader path,
-    /// each delta layer loads and verifies (table checksum + per-extent
-    /// digests) on its own thread. Replay then applies the already-verified
-    /// extents root→newest and checks the reconstructed image against the
-    /// newest layer's full-state digest. Any gap, torn layer, or digest
-    /// mismatch returns `None` — and is remembered in the cache so a later
-    /// candidate sharing the layer doesn't re-read it.
+    /// The chain is collected newest→root from the committed candidates:
+    /// it ends at the first layer that is a frame (a frame materializes
+    /// the complete state on its own, even when its commit carries a link
+    /// pinning a dedup base). The root fetches through
+    /// [`fetch_state`](Self::fetch_state); each delta layer loads (and
+    /// binds its extent table) on its own thread. Replay then applies the
+    /// extents root→newest, checking each against its digest, and checks
+    /// the reconstructed image against the newest layer's full-state
+    /// digest. Any gap, torn layer, or digest mismatch returns
+    /// `None` — and is remembered in the cache so a later candidate
+    /// sharing the layer doesn't re-read it.
     ///
     /// On success returns `(full payload, full-state digest, links
     /// replayed)`.
@@ -765,18 +337,13 @@ impl RestorePipeline {
         candidates: &[CheckMeta],
         cache: &mut LayerCache,
     ) -> Option<(Vec<u8>, u64, u64)> {
-        // Collect the chain newest→root from the committed candidates. A
-        // framed (codec) layer ends the walk: it materializes the complete
-        // logical state on its own (resolving its base references with
-        // direct slot reads), so it serves as the chain's root even when
-        // its commit carries a link.
         let mut chain = vec![*meta];
-        loop {
-            let head = chain.last().expect("chain starts non-empty");
-            if self.is_framed(head) {
-                break;
+        let root_frame = loop {
+            let head = *chain.last().expect("chain starts non-empty");
+            if let Some(frame) = cache.frame(self, &head) {
+                break frame;
             }
-            let Some(link) = head.delta else { break };
+            let link = head.delta?;
             if chain.len() > candidates.len() {
                 return None; // cycle or longer than the slot count can hold
             }
@@ -784,7 +351,7 @@ impl RestorePipeline {
                 .iter()
                 .find(|c| c.counter == link.base_counter && c.slot == link.base_slot)?;
             chain.push(*base);
-        }
+        };
         let root = *chain.last().expect("chain ends at a root");
         let root_key = (root.counter, root.slot);
         let deltas = &chain[..chain.len() - 1];
@@ -797,6 +364,7 @@ impl RestorePipeline {
             .copied()
             .collect();
         let fetched: Mutex<Vec<(LayerKey, DeltaLayer)>> = Mutex::new(Vec::new());
+        let full = &mut cache.full;
         std::thread::scope(|s| {
             for d in &uncached {
                 let fetched = &fetched;
@@ -805,140 +373,42 @@ impl RestorePipeline {
                     fetched.lock().push(((d.counter, d.slot), layer));
                 });
             }
-            if let Entry::Vacant(entry) = cache.full.entry(root_key) {
-                entry.insert(if self.is_framed(&root) {
-                    self.fetch_framed(ctx, &root, candidates)
-                        .map(|(p, fd)| (Arc::new(p), fd))
-                } else {
-                    self.fetch_verified(ctx, &root)
-                        .map(|p| (Arc::new(p), root.digest))
-                });
-            }
+            full.entry(root_key).or_insert_with(|| {
+                self.fetch_state(ctx, &root, &root_frame, candidates)
+                    .map(|(state, _)| Arc::new(state))
+            });
         });
         for (key, layer) in fetched.into_inner() {
             cache.delta.insert(key, layer);
         }
 
         // Replay root→newest over a copy of the verified root image.
-        let (root_payload, root_digest) = cache.full.get(&root_key)?.as_ref()?;
-        let mut state = (**root_payload).clone();
-        let mut full_digest = *root_digest;
+        let mut state = (**cache.full.get(&root_key)?.as_ref()?).clone();
+        let mut full_digest = root.digest;
         for delta in chain.iter().rev().skip(1) {
-            let layer = Arc::clone(cache.delta.get(&(delta.counter, delta.slot))?.as_ref()?);
-            let (table, payload) = &*layer;
-            if table.full_len != state.len() as u64 {
-                return None;
-            }
-            let mut src = usize::try_from(table.encoded_len()).ok()?;
-            for rec in &table.extents {
-                let src_end = src.checked_add(rec.len as usize)?;
-                let chunk = payload.get(src..src_end)?;
-                let dst_start = usize::try_from(rec.offset).ok()?;
-                let dst = state.get_mut(dst_start..dst_start.checked_add(rec.len as usize)?)?;
-                dst.copy_from_slice(chunk);
-                src = src_end;
-            }
+            let (table, payload) = &**cache.delta.get(&(delta.counter, delta.slot))?.as_ref()?;
+            table.apply(payload, &mut state)?;
             full_digest = table.full_digest;
         }
 
         // The reconstructed image must match the newest delta's full-state
         // digest under either digest discipline.
-        let ok = fnv1a_fold(FNV_SEED ^ meta.iteration, &state) == full_digest
-            || checksum(&state) == full_digest;
-        ok.then(|| (state, full_digest, chain.len() as u64 - 1))
+        payload_digest_matches(&state, meta.iteration, full_digest)
+            .then(|| (state, full_digest, chain.len() as u64 - 1))
     }
 
-    /// Loads one delta layer and verifies everything verifiable without
-    /// the rest of the chain: the extent-table checksum against the meta
-    /// digest and every packed extent against its per-extent FNV — the
-    /// latter fanned out across the readers for wide tables.
+    /// Loads one delta layer: reads its slot payload and binds the extent
+    /// table to the commit (the per-extent digests are checked when the
+    /// layer is applied).
     fn load_delta_layer(
         &self,
         ctx: PipelineCtx<'_>,
         meta: &CheckMeta,
     ) -> Option<Arc<(ExtentTable, Vec<u8>)>> {
-        let base = self.store.slot_payload_offset(meta.slot);
         let mut payload = vec![0u8; usize::try_from(meta.payload_len).ok()?];
-        self.read_chunk(ctx, base, 0, &mut payload).ok()?;
-        let table = ExtentTable::decode(&payload).ok()?;
-        let table_len = usize::try_from(table.encoded_len()).ok()?;
-        if checksum(payload.get(..table_len)?) != meta.digest {
-            return None;
-        }
-        // Precompute each extent's packed offset, validating the packing.
-        let mut offs = Vec::with_capacity(table.extents.len());
-        let mut src = table_len;
-        for rec in &table.extents {
-            let end = src.checked_add(rec.len as usize)?;
-            if end > payload.len() {
-                return None;
-            }
-            offs.push(src);
-            src = end;
-        }
-        let wide = self.readers > 1 && table.extents.len() >= 8;
-        let ok = if wide {
-            let next = AtomicUsize::new(0);
-            let bad = AtomicBool::new(false);
-            std::thread::scope(|s| {
-                for _ in 0..self.readers {
-                    let next = &next;
-                    let bad = &bad;
-                    let table = &table;
-                    let payload = &payload;
-                    let offs = &offs;
-                    s.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= table.extents.len() || bad.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let rec = &table.extents[i];
-                        let chunk = &payload[offs[i]..offs[i] + rec.len as usize];
-                        if fnv1a(chunk) != rec.digest {
-                            bad.store(true, Ordering::Release);
-                        }
-                    });
-                }
-            });
-            !bad.into_inner()
-        } else {
-            table
-                .extents
-                .iter()
-                .zip(&offs)
-                .all(|(rec, &off)| fnv1a(&payload[off..off + rec.len as usize]) == rec.digest)
-        };
-        ok.then(|| Arc::new((table, payload)))
-    }
-}
-
-/// Resolves one base-dedup reference from the base checkpoint's raw slot
-/// payload: the materialized record of the framed base matching the
-/// reference's content address. `DedupIndex::install` only ever indexes
-/// framed commits, so a base that is not framed (a raw full checkpoint
-/// or an extent delta) resolves to `None`.
-fn resolve_base_chunk(base: &CheckMeta, payload: &[u8], digest: u64, len: u64) -> Option<Vec<u8>> {
-    let framed =
-        payload.len() >= 8 && u64::from_le_bytes(payload[..8].try_into().ok()?) == FRAME_MAGIC;
-    if !framed {
-        return None;
-    }
-    let table = FrameTable::decode(payload)?;
-    let table_len = usize::try_from(table.encoded_len()).ok()?;
-    if checksum(payload.get(..table_len)?) != base.digest {
-        return None;
-    }
-    let packed = payload.get(table_len..)?;
-    let rec = table
-        .records
-        .iter()
-        .find(|r| r.kind.is_materialized() && r.digest == digest && r.logical_len == len)?;
-    let end = usize::try_from(rec.a.checked_add(rec.b)?).ok()?;
-    let src = packed.get(usize::try_from(rec.a).ok()?..end)?;
-    match rec.kind {
-        ChunkEncoding::Raw => Some(src.to_vec()),
-        ChunkEncoding::Lz => lz_decompress(src, usize::try_from(len).ok()?),
-        _ => None,
+        self.read_chunk(ctx, meta.slot, 0, &mut payload).ok()?;
+        let table = ExtentTable::decode_bound(&payload, meta.digest)?;
+        Some(Arc::new((table, payload)))
     }
 }
 
@@ -966,9 +436,10 @@ pub fn recover_instrumented_with(
 }
 
 /// Recovers the newest verifiable checkpoint straight into `gpu`'s device
-/// memory: full checkpoints stream chunk-by-chunk into a
-/// [`RestoreTarget`] as they verify (no full-payload DRAM image), delta
-/// chains reconstruct in DRAM and upload once.
+/// memory: all-`Raw` frames stream record by record into a
+/// [`RestoreTarget`] as they verify (no full-payload DRAM image); codec
+/// frames and extent-delta chains reconstruct in DRAM, verify end to end,
+/// and upload once.
 ///
 /// # Errors
 ///
@@ -1001,16 +472,13 @@ fn recover_core(
 
     let store = Arc::new(CheckpointStore::open(device)?);
     store.flight().record_run(FlightEventKind::RecoveryStart, 0);
-    // Candidates: every slot holding a complete checkpoint, newest first.
-    // With a job filter, only that namespace's slots are candidates (none
-    // when the job has no namespace).
+    // Candidates: every slot of the job's namespace holding a complete
+    // checkpoint, newest first (none when the job has no namespace).
+    let job = options.job.unwrap_or(OWNER_JOB);
     let mut candidates = store.history()?;
-    if let Some(job) = options.job {
-        candidates.retain(|m| store.namespace_of_slot(m.slot) == Some(job));
-    }
+    candidates.retain(|m| store.namespace_of_slot(m.slot) == Some(job));
     candidates.reverse();
     let pipeline = RestorePipeline::new(Arc::clone(&store)).with_readers(options.readers);
-    pipeline.probe(&candidates, options.probe);
 
     let mut trace = RecoveryTrace {
         scan_nanos: t0.elapsed().as_nanos() as u64,
@@ -1024,94 +492,64 @@ fn recover_core(
     }
     let newest_counter = candidates[0].counter;
     let mut cache = LayerCache::default();
+    // Hands a verified state to the GPU (`None` left to return) or back.
+    let deliver = |state: Vec<u8>, iteration: u64| match gpu {
+        Some(gpu) => {
+            let upload_start = telemetry.now_nanos();
+            gpu.restore(&state, iteration);
+            telemetry.phase_done(span, Phase::RestoreUpload, upload_start);
+            None
+        }
+        None => Some(state),
+    };
 
     for meta in &candidates {
         trace.candidates_scanned += 1;
-
-        // `verified` is `Some((Some(payload) | None-if-streamed, digest))`
+        let load_t0 = Instant::now();
+        let load_start = telemetry.now_nanos();
+        // `verified` is `Some((Some(payload) | None-if-on-the-GPU, digest))`
         // on success; any failure — torn payload, bad digest, *or a device
         // read fault* — rejects only this candidate and falls back.
-        let verified: Option<(Option<Vec<u8>>, u64)> = if pipeline.is_framed(meta) {
-            // Framed (codec) payload: decode, decompress, resolve dedup
-            // references, and verify end to end — whether or not the
-            // commit carries a base link.
-            let load_t0 = Instant::now();
-            let load_start = telemetry.now_nanos();
-            let out = pipeline.fetch_framed(ctx, meta, &candidates);
-            trace.load_nanos += load_t0.elapsed().as_nanos() as u64;
-            telemetry.phase_done(span, Phase::RecoveryLoad, load_start);
-            telemetry.phase_done(span, Phase::RecoveryVerify, load_start);
-            out.map(|(payload, digest)| {
-                trace.chain_links = meta.delta.map_or(0, |_| 1);
-                let payload = match gpu {
+        let verified: Option<(Option<Vec<u8>>, u64)> = match cache.frame(&pipeline, meta) {
+            Some(table) => {
+                // An all-Raw frame the GPU's layout fits streams straight
+                // into it; anything else verifies end to end in DRAM first.
+                let stream_to =
+                    gpu.filter(|g| table.is_raw() && table.logical_len == g.state_size().as_u64());
+                let out = match stream_to {
                     Some(gpu) => {
-                        let upload_start = telemetry.now_nanos();
-                        gpu.restore(&payload, meta.iteration);
-                        telemetry.phase_done(span, Phase::RestoreUpload, upload_start);
-                        None
+                        let target = gpu.begin_restore(ByteSize::from_bytes(table.logical_len));
+                        pipeline.fetch(ctx, meta, &table, &candidates, &target).map(
+                            |verify_nanos| {
+                                target.finish(meta.iteration);
+                                telemetry.phase_done(span, Phase::RestoreUpload, load_start);
+                                (None, verify_nanos)
+                            },
+                        )
                     }
-                    None => Some(payload),
+                    None => pipeline.fetch_state(ctx, meta, &table, &candidates).map(
+                        |(state, verify_nanos)| (deliver(state, meta.iteration), verify_nanos),
+                    ),
                 };
-                (payload, digest)
-            })
-        } else if meta.is_delta() {
-            let replay_t0 = Instant::now();
-            let replay_start = telemetry.now_nanos();
-            let out = pipeline.replay_delta_chain(ctx, meta, &candidates, &mut cache);
-            trace.load_nanos += replay_t0.elapsed().as_nanos() as u64;
-            telemetry.phase_done(span, Phase::DeltaReplay, replay_start);
-            out.map(|(payload, digest, links)| {
-                trace.chain_links = links;
-                let payload = match gpu {
-                    Some(gpu) => {
-                        let upload_start = telemetry.now_nanos();
-                        gpu.restore(&payload, meta.iteration);
-                        telemetry.phase_done(span, Phase::RestoreUpload, upload_start);
-                        None
-                    }
-                    None => Some(payload),
-                };
-                (payload, digest)
-            })
-        } else {
-            let load_t0 = Instant::now();
-            let load_start = telemetry.now_nanos();
-            let (report, payload) = match gpu {
-                Some(gpu) if meta.payload_len == gpu.state_size().as_u64() => {
-                    let target = gpu.begin_restore(ByteSize::from_bytes(meta.payload_len));
-                    let mut report = pipeline.fetch_into_sink(ctx, meta, &target);
-                    if report.ok {
-                        let u0 = Instant::now();
-                        target.finish(meta.iteration);
-                        report.upload_nanos += u0.elapsed().as_nanos() as u64;
-                        telemetry.phase_done(span, Phase::RestoreUpload, load_start);
-                    }
-                    (report, None)
-                }
-                _ => {
-                    let mut out =
-                        vec![0u8; usize::try_from(meta.payload_len).expect("payload fits")];
-                    let report = pipeline.fetch_into_buffer(ctx, meta, &mut out);
-                    let payload = report.ok.then(|| match gpu {
-                        Some(gpu) => {
-                            // Size differs from the GPU layout: restore()
-                            // owns the panic, as restore_into always has.
-                            let upload_start = telemetry.now_nanos();
-                            gpu.restore(&out, meta.iteration);
-                            telemetry.phase_done(span, Phase::RestoreUpload, upload_start);
-                            None
-                        }
-                        None => Some(out),
-                    });
-                    (report, payload.flatten())
-                }
-            };
-            trace.load_nanos += load_t0.elapsed().as_nanos() as u64;
-            trace.verify_nanos += report.verify_nanos;
-            telemetry.phase_done(span, Phase::RecoveryLoad, load_start);
-            telemetry.phase_done(span, Phase::RecoveryVerify, load_start);
-            report.ok.then_some((payload, meta.digest))
+                telemetry.phase_done(span, Phase::RecoveryLoad, load_start);
+                telemetry.phase_done(span, Phase::RecoveryVerify, load_start);
+                out.map(|(payload, verify_nanos)| {
+                    trace.verify_nanos += verify_nanos;
+                    trace.chain_links = u64::from(meta.is_delta());
+                    (payload, meta.digest)
+                })
+            }
+            None if meta.is_delta() => {
+                let out = pipeline.replay_delta_chain(ctx, meta, &candidates, &mut cache);
+                telemetry.phase_done(span, Phase::DeltaReplay, load_start);
+                out.map(|(state, digest, links)| {
+                    trace.chain_links = links;
+                    (deliver(state, meta.iteration), digest)
+                })
+            }
+            None => None,
         };
+        trace.load_nanos += load_t0.elapsed().as_nanos() as u64;
 
         let Some((payload, digest)) = verified else {
             continue;
@@ -1145,12 +583,15 @@ fn recover_core(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use pccheck_device::{DeviceConfig, SsdDevice};
-    use pccheck_gpu::{GpuConfig, TrainingState};
+    use pccheck_device::{DeviceConfig, HostBufferPool, SsdDevice};
+    use pccheck_gpu::{GpuConfig, HostSnapshot, TrainingState};
     use pccheck_telemetry::SpanId;
+    use pccheck_util::prop;
 
+    use crate::codec::{content_address, ChunkEncoding, FrameRecord};
+    use crate::meta::checksum;
     use crate::pipeline::{DeltaPolicy, PersistPipeline};
 
     fn ctx(telemetry: &Telemetry) -> PipelineCtx<'_> {
@@ -1161,13 +602,12 @@ mod tests {
     }
 
     /// Formats a store over a fresh SSD and commits `n` raw-checksum
-    /// checkpoints of `payload_bytes` each, writing a per-chunk digest
-    /// table (`chunk_len`-grained) when `tabled`.
+    /// checkpoints of `payload_bytes` each as all-Raw frames of
+    /// `record_len`-byte records.
     fn raw_store(
         n: u64,
         payload_bytes: u64,
-        chunk_len: u64,
-        tabled: bool,
+        record_len: u64,
     ) -> (Arc<SsdDevice>, Arc<CheckpointStore>, Vec<Vec<u8>>) {
         let slot = ByteSize::from_bytes(payload_bytes);
         let cap = CheckpointStore::required_capacity(slot, 3) + ByteSize::from_kb(1);
@@ -1182,103 +622,99 @@ mod tests {
                 .map(|b| (b as u8).wrapping_mul(31).wrapping_add(i as u8))
                 .collect();
             let lease = store.begin_checkpoint(None).unwrap();
+            let mut raw = crate::codec::RawFrame::new(payload_bytes, record_len, 64);
+            raw.feed(&payload);
             store.write_payload(&lease, 0, &payload).unwrap();
-            store.persist_payload(&lease, 0, payload_bytes).unwrap();
-            let digest = checksum(&payload);
-            if tabled {
-                let slot_id = lease.slot;
-                let table = ChunkDigestTable::build(&payload, chunk_len, lease.counter, digest);
-                assert!(store.write_digest_table(slot_id, &table).unwrap());
-            }
-            store.commit(lease, i, payload_bytes, digest).unwrap();
+            let table_len = store
+                .write_frame_table(&lease, payload_bytes, &raw.finish(lease.counter))
+                .unwrap();
+            store
+                .persist_payload(&lease, 0, payload_bytes + table_len)
+                .unwrap();
+            store
+                .commit(lease, i, payload_bytes, checksum(&payload))
+                .unwrap();
             payloads.push(payload);
         }
         (ssd, store, payloads)
     }
 
-    /// Drives `iters` full checkpoints of a synthetic GPU state through the
-    /// persist pipeline (which writes per-chunk digest tables), returning
+    /// Drives `iters` checkpoints of a 2 KiB synthetic state through the
+    /// delta pipeline (first full, the rest 10%-sparse deltas) and returns
     /// the device, the store, and the GPU at its final state.
-    fn gpu_store(
-        iters: u64,
-        bytes: u64,
-        chunk: u64,
-    ) -> (Arc<SsdDevice>, Arc<CheckpointStore>, Gpu) {
-        use pccheck_device::HostBufferPool;
-
-        let state = TrainingState::synthetic(ByteSize::from_bytes(bytes), 7);
+    pub(crate) fn delta_store(iters: u64) -> (Arc<SsdDevice>, Arc<CheckpointStore>, Gpu) {
+        let state = TrainingState::synthetic(ByteSize::from_bytes(2048), 7);
         let gpu = Gpu::new(GpuConfig::fast_for_tests(), state);
+        gpu.update();
         let cap = CheckpointStore::required_capacity(gpu.state_size(), 4) + ByteSize::from_kb(1);
         let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let store = Arc::new(
-            CheckpointStore::format(
-                Arc::clone(&ssd) as Arc<dyn PersistentDevice>,
-                gpu.state_size(),
-                4,
-                0,
-            )
-            .unwrap(),
-        );
-        let pipeline = PersistPipeline::new(Arc::clone(&store))
+        let device: Arc<dyn PersistentDevice> = ssd.clone();
+        let store = Arc::new(CheckpointStore::format(device, gpu.state_size(), 4, 0).unwrap());
+        let persist = PersistPipeline::new(Arc::clone(&store))
             .with_writers(2)
-            .with_staging(HostBufferPool::new(ByteSize::from_bytes(chunk), 4));
+            .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 4));
         let telemetry = Telemetry::disabled();
-        let ctx = ctx(&telemetry);
-        let total = gpu.state_size();
         for iter in 1..=iters {
-            gpu.update();
+            if iter > 1 {
+                gpu.update_sparse(0.1);
+            }
             let guard = gpu.lock_weights_shared();
             let digest = guard.digest().0;
-            let lease = pipeline.lease_for(ctx, None).unwrap();
-            let persist_start = pipeline.copy_streamed(ctx, &guard, &lease, total).unwrap();
-            drop(guard);
-            pipeline
-                .seal(ctx, &lease, iter, total, persist_start)
-                .unwrap();
-            pipeline
-                .commit(ctx, lease, iter, total.as_u64(), digest)
+            persist
+                .checkpoint_delta(
+                    ctx(&telemetry),
+                    &guard,
+                    iter,
+                    digest,
+                    DeltaPolicy::default(),
+                )
                 .unwrap();
         }
         (ssd, store, gpu)
     }
 
-    #[test]
-    fn parallel_fetch_matches_sequential_with_digest_table() {
-        // 16 KiB slot → 4-chunk digest capacity; 4 KiB chunks fill it.
-        let (_ssd, store, payloads) = raw_store(2, 16 * 1024, 4096, true);
-        let meta = store.latest_committed().unwrap();
-        assert!(
-            store.read_digest_table(&meta).is_some(),
-            "digest table is present, so the table path is exercised"
-        );
+    /// `meta`'s state through a `readers`-wide restore pipeline.
+    fn fetch_state(
+        store: &Arc<CheckpointStore>,
+        readers: usize,
+        meta: &CheckMeta,
+        candidates: &[CheckMeta],
+    ) -> Option<Vec<u8>> {
         let telemetry = Telemetry::disabled();
-        let seq = RestorePipeline::new(Arc::clone(&store))
-            .with_readers(1)
-            .fetch_verified(ctx(&telemetry), &meta)
-            .unwrap();
-        let par = RestorePipeline::new(Arc::clone(&store))
-            .with_readers(4)
-            .fetch_verified(ctx(&telemetry), &meta)
-            .unwrap();
+        let table = store.read_frame(meta)?;
+        RestorePipeline::new(Arc::clone(store))
+            .with_readers(readers)
+            .fetch_state(ctx(&telemetry), meta, &table, candidates)
+            .map(|(state, _)| state)
+    }
+
+    #[test]
+    fn parallel_fetch_matches_sequential() {
+        let (_ssd, store, payloads) = raw_store(2, 16 * 1024, 4096);
+        let meta = store.latest_committed().unwrap();
+        let seq = fetch_state(&store, 1, &meta, &[]).unwrap();
+        let par = fetch_state(&store, 4, &meta, &[]).unwrap();
         assert_eq!(seq, payloads[1]);
         assert_eq!(par, payloads[1], "parallel read is bit-identical");
     }
 
     #[test]
     fn parallel_fetch_emits_reader_actor_spans() {
-        // 4 chunks, 4 readers → one run per reader, 4 KiB each.
-        let (_ssd, store, _payloads) = raw_store(1, 16 * 1024, 4096, true);
+        let (_ssd, store, _payloads) = raw_store(1, 16 * 1024, 4096);
         let meta = store.latest_committed().unwrap();
+        let table = store.read_frame(&meta).unwrap();
         let telemetry = Telemetry::enabled();
         let span = telemetry.span_requested("restore", 1, meta.payload_len);
         let got = RestorePipeline::new(Arc::clone(&store))
             .with_readers(4)
-            .fetch_verified(
+            .fetch_state(
                 PipelineCtx {
                     telemetry: &telemetry,
                     span,
                 },
                 &meta,
+                &table,
+                &[],
             );
         assert!(got.is_some());
         let spans: Vec<(String, u64)> = telemetry
@@ -1291,6 +727,7 @@ mod tests {
                 _ => None,
             })
             .collect();
+        // 4 records, 4 readers: one run (and one span) per reader.
         assert_eq!(spans.len(), 4, "one actor span per reader run: {spans:?}");
         assert!(spans.iter().all(|(a, _)| a.starts_with("reader-")));
         let total: u64 = spans.iter().map(|(_, b)| b).sum();
@@ -1298,70 +735,181 @@ mod tests {
     }
 
     #[test]
-    fn legacy_slot_without_table_verifies_via_ordered_fold() {
-        let (_ssd, store, payloads) = raw_store(1, 16 * 1024, 4096, false);
-        let meta = store.latest_committed().unwrap();
-        assert!(store.read_digest_table(&meta).is_none());
-        let telemetry = Telemetry::enabled();
-        let span = telemetry.span_requested("restore", 1, meta.payload_len);
-        let got = RestorePipeline::new(Arc::clone(&store))
-            .with_readers(4)
-            .with_read_chunk(ByteSize::from_bytes(1024))
-            .fetch_verified(
-                PipelineCtx {
-                    telemetry: &telemetry,
-                    span,
-                },
-                &meta,
-            )
+    fn unframed_slot_is_not_recoverable() {
+        // A store-level commit that skips the frame table leaves a slot no
+        // reader accepts: there is no unframed fallback path.
+        let (ssd, store, payloads) = raw_store(1, 4096, 1024);
+        let lease = store.begin_checkpoint(None).unwrap();
+        store.write_payload(&lease, 0, &payloads[0]).unwrap();
+        store.persist_payload(&lease, 0, 4096).unwrap();
+        store
+            .commit(lease, 2, 4096, checksum(&payloads[0]))
             .unwrap();
-        assert_eq!(got, payloads[0]);
-        // The overlapped fold really ran chunk-wise: every byte was read
-        // through the restore-read stage.
-        let snap = telemetry.snapshot().unwrap();
-        assert_eq!(snap.restore_chunk_bytes, 16 * 1024);
-        assert!(snap.phase(Phase::RestoreRead).count >= 1);
-        assert!(snap.phase(Phase::RestoreVerify).count >= 1);
+        let newest = store.latest_committed().unwrap();
+        assert!(store.read_frame(&newest).is_none());
+        drop(store);
+        let (rec, trace) = crate::recover_instrumented(
+            Arc::clone(&ssd) as Arc<dyn PersistentDevice>,
+            &Telemetry::disabled(),
+        )
+        .unwrap();
+        assert_eq!((rec.iteration, trace.fallbacks), (1, 1));
     }
 
     #[test]
-    fn corrupt_payload_is_rejected_by_the_table_path() {
-        let (ssd, store, _payloads) = raw_store(1, 16 * 1024, 4096, true);
+    fn corrupt_record_is_rejected() {
+        let (ssd, store, _payloads) = raw_store(1, 16 * 1024, 4096);
         let meta = store.latest_committed().unwrap();
         let off = store.slot_payload_offset(meta.slot) + 9000;
         ssd.write_at(off, b"!").unwrap();
         ssd.persist(off, 1).unwrap();
-        let telemetry = Telemetry::disabled();
-        let got = RestorePipeline::new(Arc::clone(&store))
-            .with_readers(4)
-            .fetch_verified(ctx(&telemetry), &meta);
-        assert!(got.is_none(), "per-chunk verification caught the flip");
+        assert!(
+            fetch_state(&store, 4, &meta, &[]).is_none(),
+            "per-record verification caught the flip"
+        );
     }
 
     #[test]
-    fn torn_digest_table_degrades_to_whole_payload_verification() {
-        let (ssd, store, payloads) = raw_store(1, 16 * 1024, 4096, true);
-        let meta = store.latest_committed().unwrap();
-        // Tear the table's trailing CRC; the payload itself is intact.
-        let table_off = store.slot_digest_offset(meta.slot);
-        let tear = table_off + ChunkDigestTable::encoded_len_for(4) - 1;
-        let mut b = [0u8; 1];
-        ssd.read_durable_at(tear, &mut b).unwrap();
-        b[0] ^= 0xFF;
-        ssd.write_at(tear, &b).unwrap();
-        ssd.persist(tear, 1).unwrap();
-        assert!(store.read_digest_table(&meta).is_none(), "table is torn");
-        let telemetry = Telemetry::disabled();
-        let got = RestorePipeline::new(Arc::clone(&store))
-            .with_readers(4)
-            .fetch_verified(ctx(&telemetry), &meta)
-            .unwrap();
-        assert_eq!(got, payloads[0], "fold path still verifies the payload");
+    fn torn_or_corrupt_frame_table_falls_back_to_the_previous_commit() {
+        // Every truncation point of the newest frame's table write, and a
+        // flipped bit in every table byte: recovery must fall back to the
+        // previous commit (or, for the complete table, take the newest),
+        // and never return wrong bytes.
+        let (_, _, payloads) = raw_store(2, 4096, 1024);
+        let table_len = crate::codec::FrameTable::encoded_len_for(4) as usize;
+        let damages = (0..=table_len)
+            .map(|cut| (cut, None))
+            .chain((0..table_len).map(|at| (table_len, Some(at))));
+        for (cut, flip) in damages {
+            let (ssd, store, _) = raw_store(1, 4096, 1024);
+            let lease = store.begin_checkpoint(None).unwrap();
+            let mut raw = crate::codec::RawFrame::new(4096, 1024, 64);
+            raw.feed(&payloads[1]);
+            let mut table = raw.finish(lease.counter).encode();
+            if let Some(at) = flip {
+                table[at] ^= 0x10;
+            }
+            let base = store.slot_payload_offset(lease.slot);
+            ssd.write_at(base, &payloads[1]).unwrap();
+            ssd.write_at(base + 4096, &table[..cut]).unwrap();
+            ssd.persist(base, 4096 + cut as u64).unwrap();
+            store
+                .commit(lease, 2, 4096, checksum(&payloads[1]))
+                .unwrap();
+            drop(store);
+            let rec = crate::recover(Arc::clone(&ssd) as Arc<dyn PersistentDevice>).unwrap();
+            let whole = cut == table_len && flip.is_none();
+            let want = if whole { 2 } else { 1 };
+            assert_eq!(rec.iteration, want, "cut {cut} flip {flip:?}");
+            assert_eq!(rec.payload, payloads[want as usize - 1]);
+        }
+    }
+
+    /// Collects every chunk a fetch delivers, to check it lands each
+    /// logical byte exactly once.
+    #[derive(Default)]
+    struct Recording(Mutex<Vec<(u64, Vec<u8>)>>);
+
+    impl RestoreSink for Recording {
+        fn put(&self, offset: u64, data: &[u8]) {
+            self.0.lock().push((offset, data.to_vec()));
+        }
+    }
+
+    #[test]
+    fn frames_mixing_every_record_kind_restore_bit_identically() {
+        const CHUNK: usize = 256;
+        prop::check(
+            "frames_mixing_every_record_kind_restore_bit_identically",
+            16,
+            |g| {
+                let chunks = g.range(6usize..16);
+                let noise = |g: &mut prop::Gen| g.bytes(CHUNK..CHUNK + 1);
+                // The base: distinct incompressible chunks.
+                let base: Vec<Vec<u8>> = (0..chunks).map(|_| noise(g)).collect();
+                // The frame: one of each kind up front, then any mix.
+                let mut frame = vec![
+                    noise(g),                         // Raw
+                    vec![g.range(0u8..255); CHUNK],   // Lz
+                    Vec::new(),                       // DedupSelf of 0
+                    base[g.range(0..chunks)].clone(), // DedupBase
+                ];
+                frame[2] = frame[0].clone();
+                for _ in 4..chunks {
+                    let c = match g.range(0u8..4) {
+                        0 => noise(g),
+                        1 => vec![g.range(0u8..255); CHUNK],
+                        2 => frame[g.range(0..frame.len())].clone(),
+                        _ => base[g.range(0..chunks)].clone(),
+                    };
+                    frame.push(c);
+                }
+                let (base, frame) = (base.concat(), frame.concat());
+
+                let state = ByteSize::from_bytes(frame.len() as u64);
+                let cap = CheckpointStore::required_capacity(state, 3) + ByteSize::from_kb(1);
+                let device: Arc<dyn PersistentDevice> =
+                    Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
+                let store =
+                    Arc::new(CheckpointStore::format(Arc::clone(&device), state, 3, 0).unwrap());
+                let pipeline = PersistPipeline::new(Arc::clone(&store))
+                    .with_writers(2)
+                    .with_staging(HostBufferPool::new(ByteSize::from_bytes(CHUNK as u64), 4))
+                    .with_codec(true);
+                let telemetry = Telemetry::disabled();
+                for (step, data) in [(1, &base), (2, &frame)] {
+                    let src = HostSnapshot {
+                        data: data.clone(),
+                        step,
+                    };
+                    let digest = pccheck_gpu::SnapshotSource::digest(&src).0;
+                    pipeline
+                        .checkpoint_framed(
+                            ctx(&telemetry),
+                            &src,
+                            step,
+                            digest,
+                            DeltaPolicy::default(),
+                        )
+                        .unwrap();
+                }
+                let mut candidates = store.history().unwrap();
+                candidates.reverse();
+                let meta = candidates[0];
+                let table = store.read_frame(&meta).unwrap();
+                for kind in [
+                    ChunkEncoding::Raw,
+                    ChunkEncoding::Lz,
+                    ChunkEncoding::DedupSelf,
+                    ChunkEncoding::DedupBase,
+                ] {
+                    assert!(table.records.iter().any(|r| r.kind == kind), "{kind:?}");
+                }
+                for readers in [1, 4] {
+                    let got = fetch_state(&store, readers, &meta, &candidates).unwrap();
+                    assert_eq!(got, frame, "buffer, {readers} readers");
+                    let sink = Recording::default();
+                    RestorePipeline::new(Arc::clone(&store))
+                        .with_readers(readers)
+                        .fetch(ctx(&telemetry), &meta, &table, &candidates, &sink)
+                        .unwrap();
+                    let mut puts = sink.0.into_inner();
+                    puts.sort_by_key(|(off, _)| *off);
+                    let mut at = 0u64;
+                    for (off, data) in &puts {
+                        assert_eq!(*off, at, "each byte delivered exactly once");
+                        at += data.len() as u64;
+                    }
+                    let assembled: Vec<u8> = puts.into_iter().flat_map(|(_, d)| d).collect();
+                    assert_eq!(assembled, frame, "sink, {readers} readers");
+                }
+            },
+        );
     }
 
     #[test]
     fn read_fault_on_newest_falls_back_instead_of_erroring() {
-        let (ssd, store, payloads) = raw_store(2, 16 * 1024, 4096, true);
+        let (ssd, store, payloads) = raw_store(2, 16 * 1024, 4096);
         let newest = store.latest_committed().unwrap();
         assert_eq!(newest.iteration, 2);
         // Latent sector error in the middle of the newest payload,
@@ -1387,7 +935,7 @@ mod tests {
         // Newest payload is unreadable media, the older one is corrupt on
         // disk: recovery exhausts both and reports the protocol error, not
         // the raw device error.
-        let (ssd, store, _payloads) = raw_store(2, 16 * 1024, 4096, false);
+        let (ssd, store, _payloads) = raw_store(2, 16 * 1024, 4096);
         let metas = store.history().unwrap();
         let newest = metas.last().unwrap();
         let oldest = metas.first().unwrap();
@@ -1408,41 +956,13 @@ mod tests {
         ));
     }
 
-    /// Satellite: the layer cache must prevent any device re-reads when the
-    /// same chain (or a chain sharing layers) replays again in one pass.
+    /// The layer cache must prevent any device re-reads when the same
+    /// chain (or a chain sharing layers) replays again in one pass.
     #[test]
     fn layer_cache_avoids_rereading_shared_chain_layers() {
-        use pccheck_device::HostBufferPool;
-
-        let state = TrainingState::synthetic(ByteSize::from_bytes(2048), 7);
-        let gpu = Gpu::new(GpuConfig::fast_for_tests(), state);
-        gpu.update();
-        let cap = CheckpointStore::required_capacity(gpu.state_size(), 4) + ByteSize::from_kb(1);
-        let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let store = Arc::new(
-            CheckpointStore::format(
-                Arc::clone(&ssd) as Arc<dyn PersistentDevice>,
-                gpu.state_size(),
-                4,
-                0,
-            )
-            .unwrap(),
-        );
-        let persist = PersistPipeline::new(Arc::clone(&store))
-            .with_writers(2)
-            .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 4));
+        let (ssd, store, _gpu) = delta_store(3);
         let telemetry = Telemetry::disabled();
         let ctx = ctx(&telemetry);
-        for iter in 1..=3u64 {
-            if iter > 1 {
-                gpu.update_sparse(0.1);
-            }
-            let guard = gpu.lock_weights_shared();
-            let digest = guard.digest();
-            persist
-                .checkpoint_delta(ctx, &guard, iter, digest.0, DeltaPolicy::default())
-                .unwrap();
-        }
         let mut candidates = store.history().unwrap();
         candidates.reverse();
         let head = candidates[0];
@@ -1467,12 +987,9 @@ mod tests {
 
     #[test]
     fn recover_into_gpu_streams_full_checkpoints() {
-        // 16 KiB state, 4 KiB pipeline chunks → the persist side wrote a
-        // digest table, so restore streams through the table sink path.
-        let (ssd, store, gpu) = gpu_store(2, 16 * 1024, 4096);
-        let want = gpu.digest();
-        let meta = store.latest_committed().unwrap();
-        assert!(store.read_digest_table(&meta).is_some());
+        // An all-Raw frame the GPU's layout fits streams straight into a
+        // restore target, record by record.
+        let (ssd, store, payloads) = raw_store(2, 16 * 1024, 4096);
         drop(store);
         ssd.crash_now();
         ssd.recover();
@@ -1481,6 +998,8 @@ mod tests {
             GpuConfig::fast_for_tests(),
             TrainingState::synthetic(ByteSize::from_bytes(16 * 1024), 999),
         );
+        let layout = fresh.with_weights(|s| s.layout());
+        let want = TrainingState::restore(&layout, &payloads[1], 2).digest();
         let telemetry = Telemetry::enabled();
         let trace = recover_into_gpu(
             Arc::clone(&ssd) as Arc<dyn PersistentDevice>,
@@ -1499,37 +1018,7 @@ mod tests {
 
     #[test]
     fn recover_into_gpu_materializes_delta_chains() {
-        use pccheck_device::HostBufferPool;
-
-        let state = TrainingState::synthetic(ByteSize::from_bytes(2048), 7);
-        let gpu = Gpu::new(GpuConfig::fast_for_tests(), state);
-        gpu.update();
-        let cap = CheckpointStore::required_capacity(gpu.state_size(), 4) + ByteSize::from_kb(1);
-        let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let store = Arc::new(
-            CheckpointStore::format(
-                Arc::clone(&ssd) as Arc<dyn PersistentDevice>,
-                gpu.state_size(),
-                4,
-                0,
-            )
-            .unwrap(),
-        );
-        let persist = PersistPipeline::new(Arc::clone(&store))
-            .with_writers(2)
-            .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 4));
-        let telemetry = Telemetry::disabled();
-        let pctx = ctx(&telemetry);
-        for iter in 1..=3u64 {
-            if iter > 1 {
-                gpu.update_sparse(0.1);
-            }
-            let guard = gpu.lock_weights_shared();
-            let digest = guard.digest();
-            persist
-                .checkpoint_delta(pctx, &guard, iter, digest.0, DeltaPolicy::default())
-                .unwrap();
-        }
+        let (ssd, store, gpu) = delta_store(3);
         let want = gpu.digest();
         drop(store);
         ssd.crash_now();
@@ -1552,36 +1041,75 @@ mod tests {
     }
 
     #[test]
-    fn dedup_reference_into_a_raw_base_is_rejected() {
-        // Two raw full checkpoints, then a frame whose one DedupBase record
-        // names the newest of them. Dedup only ever indexes framed commits,
-        // so the reference is forged: the frame must fail and recovery must
-        // fall back to the raw checkpoint it pointed at.
-        let (ssd, store, payloads) = raw_store(2, 4096, 4096, false);
-        let base = store.latest_committed().unwrap();
+    fn crashed_frame_table_never_binds_to_a_later_delta() {
+        // A frame that crashed after its table persisted but before its
+        // meta leaves that table, with its counter, in a slot that goes
+        // back to the free list. The next checkpoint lands there as an
+        // extent delta exactly as long as the crashed frame's records:
+        // its commit must not bind the stale table.
+        let (ssd, store, gpu) = delta_store(1);
+        gpu.update_sparse(0.1);
+        let guard = gpu.lock_weights_shared();
+        let dirty = pccheck_gpu::merge_ranges(guard.dirty_ranges());
+        let delta_len = ExtentTable::encoded_len_for(dirty.len())
+            + dirty.iter().map(|&(_, len)| len).sum::<u64>();
         let lease = store.begin_checkpoint(None).unwrap();
-        let table = FrameTable {
+        let (stale_counter, stale_slot) = (lease.counter, lease.slot);
+        let mut raw = crate::codec::RawFrame::new(delta_len, delta_len, 64);
+        raw.feed(&vec![0u8; delta_len as usize]);
+        let table_len = store
+            .write_frame_table(&lease, delta_len, &raw.finish(lease.counter))
+            .unwrap();
+        store.persist_payload(&lease, delta_len, table_len).unwrap();
+        drop((lease, store));
+        ssd.crash_now();
+        ssd.recover();
+
+        let device: Arc<dyn PersistentDevice> = ssd.clone();
+        let store = Arc::new(CheckpointStore::open(Arc::clone(&device)).unwrap());
+        let persist = PersistPipeline::new(Arc::clone(&store))
+            .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 4));
+        let telemetry = Telemetry::disabled();
+        let digest = guard.digest().0;
+        persist
+            .checkpoint_delta(ctx(&telemetry), &guard, 2, digest, DeltaPolicy::default())
+            .unwrap();
+        let delta = store.latest_committed().unwrap();
+        assert!(delta.is_delta());
+        assert_eq!((delta.slot, delta.payload_len), (stale_slot, delta_len));
+        assert!(delta.counter > stale_counter, "counters never repeat");
+        drop(guard);
+
+        let rec = crate::recovery::recover(device).unwrap();
+        assert_eq!(rec.iteration, 2, "the delta recovers");
+        assert_eq!(rec.digest, digest);
+    }
+
+    #[test]
+    fn dedup_reference_into_an_extent_delta_is_rejected() {
+        // A frame whose DedupBase record names an extent-delta slot: dedup
+        // only ever indexes frames, so the reference is forged. The frame
+        // must fail and recovery fall back to the delta it pointed at.
+        let (ssd, store, gpu) = delta_store(2);
+        let delta = store.latest_committed().unwrap();
+        assert!(delta.is_delta() && store.read_frame(&delta).is_none());
+        let lease = store.begin_checkpoint(None).unwrap();
+        let forged = crate::codec::FrameTable {
             counter: lease.counter,
-            logical_len: 4096,
-            full_digest: checksum(&payloads[1]),
-            records: vec![crate::codec::FrameRecord {
+            logical_len: 2048,
+            records: vec![FrameRecord {
                 kind: ChunkEncoding::DedupBase,
-                aux: base.slot,
-                logical_len: 4096,
-                a: base.counter,
+                aux: delta.slot,
+                logical_len: 2048,
+                a: delta.counter,
                 b: 0,
-                digest: chunk_digest(&payloads[1]),
+                digest: content_address(&[0u8; 2048]),
             }],
         };
-        let frame = table.encode();
-        store.write_payload(&lease, 0, &frame).unwrap();
-        store
-            .persist_payload(&lease, 0, frame.len() as u64)
-            .unwrap();
-        store
-            .commit(lease, 3, frame.len() as u64, checksum(&frame))
-            .unwrap();
-        assert_eq!(store.latest_committed().unwrap().iteration, 3);
+        let table_len = store.write_frame_table(&lease, 0, &forged).unwrap();
+        store.persist_payload(&lease, 0, table_len).unwrap();
+        store.commit(lease, 3, 0, 0).unwrap();
+        let want = gpu.digest();
         drop(store);
         ssd.crash_now();
         ssd.recover();
@@ -1592,22 +1120,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rec.iteration, 2, "fell back past the forged frame");
-        assert_eq!(rec.payload, payloads[1]);
+        assert_eq!(rec.digest, want.0);
         assert_eq!(trace.fallbacks, 1);
-    }
-
-    #[test]
-    fn probe_prefetches_tables_for_the_newest_candidates() {
-        let (ssd, store, _payloads) = raw_store(2, 16 * 1024, 4096, true);
-        let pipeline = RestorePipeline::new(Arc::clone(&store)).with_readers(2);
-        let mut candidates = store.history().unwrap();
-        candidates.reverse();
-        pipeline.probe(&candidates, 2);
-        let reads = ssd.stats().read_ops();
-        // Cached: table_for answers without touching the device.
-        for meta in &candidates {
-            assert!(pipeline.table_for(meta).is_some());
-        }
-        assert_eq!(ssd.stats().read_ops(), reads);
     }
 }

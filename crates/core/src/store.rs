@@ -5,19 +5,17 @@
 //!
 //! ```text
 //! +--------------------+  offset 0
-//! | store header (64B) |  magic "PCcheCk2", slot count, slot size, ring
-//! |                    |  records, digest chunks, directory capacity
+//! | store header (64B) |  magic "PCcheCk3", slot count, slot size, ring
+//! |                    |  records, directory capacity
 //! +--------------------+  offset 64
 //! | slot 0 meta (64B)  |
-//! | slot 0 payload     |
+//! | slot 0 payload     |  slot_size bytes of packed frame records, then
+//! |   + table room     |  room for the frame table (codec.rs layout)
 //! +--------------------+
 //! | slot 1 meta ...    |
-//! +--------------------+  offset 64 + slots·(64 + slot_size)
+//! +--------------------+  offset 64 + slots·(64 + slot_size + room)
 //! | flight ring        |  optional crash-safe telemetry ring
 //! | (header + records) |  (`flight_records` > 0)
-//! +--------------------+
-//! | digest tables      |  per-slot per-chunk digest tables
-//! | (slots · stride)   |  (advisory, CRC-protected)
 //! +--------------------+
 //! | namespace directory|  one entry per namespace: descriptor +
 //! | (max_ns · 128B)    |  that namespace's CHECK_ADDR record
@@ -30,10 +28,12 @@
 //! The header's magic is the layout version: a store of any other layout
 //! fails to open instead of being misread.
 //!
-//! The digest region holds one fixed-stride [`ChunkDigestTable`] per slot,
-//! written after the payload persists but bound to a specific commit by
-//! `(counter, payload_digest)` — a stale or torn table is detected and
-//! ignored, dropping recovery back to the whole-payload digests.
+//! Every committed slot holds a frame log ([`crate::codec`]): packed
+//! records followed by a frame table bound to the commit. The table room
+//! each slot reserves comes from the slot size alone
+//! ([`codec::frame_capacity`]), so the header records no table geometry.
+//! An extent delta (`copy_delta`) is the one other payload a slot holds;
+//! its extent table sits at the head of the payload instead.
 //!
 //! With `N` allowed concurrent checkpoints a namespace holds `N+1` slots —
 //! the `(N+1)·m` storage footprint of Table 1 — guaranteeing one fully
@@ -102,11 +102,12 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pccheck_device::{ChunkDigestTable, PersistentDevice};
+use pccheck_device::PersistentDevice;
 use pccheck_telemetry::{FlightEventKind, FlightRecorder, FlightRing};
 use pccheck_util::sync::RwLock;
 use pccheck_util::ByteSize;
 
+use crate::codec::{self, FrameTable};
 use crate::error::PccheckError;
 use crate::meta::{
     CheckMeta, DeltaLink, NamespaceDesc, PackedCheckAddr, SlotState, META_RECORD_SIZE,
@@ -122,19 +123,12 @@ pub type JobId = u64;
 /// every slot. Job arguments of `None` resolve to it.
 pub const OWNER_JOB: JobId = 0;
 
-const STORE_MAGIC: u64 = 0x5043_6368_6543_6B32; // "PCcheCk2"
+const STORE_MAGIC: u64 = 0x5043_6368_6543_6B33; // "PCcheCk3"
 const HEADER_SIZE: u64 = 64;
 
 /// Stride of one namespace-directory entry: the 64-byte descriptor
 /// followed by that namespace's own 64-byte CHECK_ADDR record.
 const NS_ENTRY_SIZE: u64 = NS_DESC_SIZE + META_RECORD_SIZE;
-
-/// The finest chunk granularity the per-slot digest region is provisioned
-/// for: a slot of `s` bytes gets room for `ceil(s / 4096)` chunk digests,
-/// a fixed ~0.2% capacity overhead. Pipelines chunking finer than this on
-/// a given payload simply skip the table (whole-payload verification
-/// applies).
-const DIGEST_CHUNK_GRAIN: u64 = 4096;
 
 /// The geometry a store header records, and every region offset derived
 /// from it (regions follow each other in the order of the module diagram).
@@ -143,8 +137,6 @@ struct Layout {
     slots: u32,
     slot_size: ByteSize,
     flight_records: u32,
-    /// Per-slot digest-table capacity in chunk digests.
-    digest_chunks: u32,
     max_namespaces: u32,
 }
 
@@ -154,10 +146,6 @@ impl Layout {
             slots,
             slot_size,
             flight_records,
-            digest_chunks: slot_size
-                .as_u64()
-                .div_ceil(DIGEST_CHUNK_GRAIN)
-                .min(u64::from(u32::MAX)) as u32,
             max_namespaces,
         }
     }
@@ -168,8 +156,7 @@ impl Layout {
         header[8..12].copy_from_slice(&self.slots.to_le_bytes());
         header[12..20].copy_from_slice(&self.slot_size.as_u64().to_le_bytes());
         header[20..24].copy_from_slice(&self.flight_records.to_le_bytes());
-        header[24..28].copy_from_slice(&self.digest_chunks.to_le_bytes());
-        header[28..32].copy_from_slice(&self.max_namespaces.to_le_bytes());
+        header[24..28].copy_from_slice(&self.max_namespaces.to_le_bytes());
         header
     }
 
@@ -189,34 +176,45 @@ impl Layout {
                 header[12..20].try_into().expect("8 bytes"),
             )),
             flight_records: word(20),
-            digest_chunks: word(24),
-            max_namespaces: word(28),
+            max_namespaces: word(24),
         })
     }
 
+    /// Records a slot's frame table may hold.
+    fn frame_capacity(&self) -> usize {
+        codec::frame_capacity(self.slot_size.as_u64())
+    }
+
+    /// Bytes of one slot's payload area: packed records plus table room.
+    fn slot_area(&self) -> u64 {
+        self.slot_size.as_u64() + codec::table_room(self.frame_capacity())
+    }
+
     fn slot_meta(&self, slot: u32) -> u64 {
-        HEADER_SIZE + u64::from(slot) * (META_RECORD_SIZE + self.slot_size.as_u64())
+        HEADER_SIZE + u64::from(slot) * (META_RECORD_SIZE + self.slot_area())
     }
 
     fn flight_base(&self) -> u64 {
         self.slot_meta(self.slots)
     }
 
-    fn digest_stride(&self) -> u64 {
-        ChunkDigestTable::encoded_len_for(self.digest_chunks as usize)
-    }
-
-    fn slot_digest(&self, slot: u32) -> u64 {
+    fn ns_entry(&self, index: u32) -> u64 {
         let ring = if self.flight_records == 0 {
             0
         } else {
             FlightRing::required_capacity(self.flight_records)
         };
-        self.flight_base() + ring + u64::from(slot) * self.digest_stride()
+        self.flight_base() + ring + u64::from(index) * NS_ENTRY_SIZE
     }
 
-    fn ns_entry(&self, index: u32) -> u64 {
-        self.slot_digest(self.slots) + u64::from(index) * NS_ENTRY_SIZE
+    /// Reads `meta`'s frame table from the durable bytes of `device`.
+    fn read_frame(&self, device: &dyn PersistentDevice, meta: &CheckMeta) -> Option<FrameTable> {
+        let mut read = |slot: u32, off: u64, buf: &mut [u8]| {
+            device
+                .read_durable_at(self.slot_meta(slot) + META_RECORD_SIZE + off, buf)
+                .is_ok()
+        };
+        codec::read_frame(&mut read, meta, self.frame_capacity())
     }
 
     fn slot_state(&self, slot: u32) -> u64 {
@@ -475,7 +473,8 @@ impl CheckpointStore {
     /// path). Rebuilds each namespace independently: its committed
     /// checkpoint (and delta chain) stays leased, all its other slots go
     /// back to its free queue; the global counter resumes above the
-    /// highest counter found.
+    /// highest counter found in a meta record or a durable slot-state
+    /// word, so a crashed claim's counter is never reissued.
     ///
     /// # Errors
     ///
@@ -538,11 +537,12 @@ impl CheckpointStore {
                 dir_offset,
             }));
         }
-        let slot_states = Self::initial_slot_states(device.as_ref(), &layout, &pinned_all)?;
+        let (slot_states, claimed_max) =
+            Self::initial_slot_states(device.as_ref(), &layout, &pinned_all)?;
         Ok(CheckpointStore {
             device,
             layout,
-            global_counter: AtomicU64::new(max_counter + 1),
+            global_counter: AtomicU64::new(max_counter.max(claimed_max) + 1),
             slot_states,
             flight,
             namespaces: RwLock::new(namespaces),
@@ -648,14 +648,26 @@ impl CheckpointStore {
     /// goes back to a free queue starts Free (regardless of its durable
     /// word, which is a high-water record of past claims); every pinned
     /// chain slot starts Committed at its own durable meta counter.
+    ///
+    /// Also returns the highest counter any durable word names. The store
+    /// resumes counting above it, so no counter repeats across a crash: a
+    /// checkpoint that died after writing its frame table but before its
+    /// meta leaves that table in a recycled slot, and a later commit there
+    /// must never carry the table's counter (and so bind it).
     fn initial_slot_states(
         device: &dyn PersistentDevice,
         layout: &Layout,
         pinned: &[u32],
-    ) -> Result<Vec<AtomicU64>, PccheckError> {
+    ) -> Result<(Vec<AtomicU64>, u64), PccheckError> {
         let mut states = Vec::with_capacity(layout.slots as usize);
         let mut rec = [0u8; META_RECORD_SIZE as usize];
+        let mut word = [0u8; SLOT_STATE_SIZE as usize];
+        let mut claimed_max = 0;
         for s in 0..layout.slots {
+            device.read_durable_at(layout.slot_state(s), &mut word)?;
+            if let Some(c) = SlotState::decode(&word).and_then(SlotState::counter) {
+                claimed_max = claimed_max.max(c);
+            }
             let state = if pinned.contains(&s) {
                 device.read_durable_at(layout.slot_meta(s), &mut rec)?;
                 CheckMeta::decode(&rec)
@@ -668,7 +680,7 @@ impl CheckpointStore {
             };
             states.push(AtomicU64::new(state.pack()));
         }
-        Ok(states)
+        Ok((states, claimed_max))
     }
 
     fn chain_slots(&self, head_slot: u32, head_counter: u64) -> Vec<u32> {
@@ -708,54 +720,16 @@ impl CheckpointStore {
         self.slot_meta_offset(slot) + META_RECORD_SIZE
     }
 
-    /// Per-slot digest-table capacity in chunk digests.
-    pub fn digest_chunks(&self) -> u32 {
-        self.layout.digest_chunks
+    /// Records a slot's frame table may hold (from the slot size alone).
+    pub fn frame_capacity(&self) -> usize {
+        self.layout.frame_capacity()
     }
 
-    /// Device offset of `slot`'s per-chunk digest table.
-    pub fn slot_digest_offset(&self, slot: u32) -> u64 {
-        self.layout.slot_digest(slot)
-    }
-
-    /// Writes and persists `slot`'s per-chunk digest table. Returns
-    /// `Ok(false)` without touching the device when the table exceeds the
-    /// per-slot capacity — the table is advisory, so skipping it is never
-    /// an error.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors.
-    pub fn write_digest_table(
-        &self,
-        slot: u32,
-        table: &ChunkDigestTable,
-    ) -> Result<bool, PccheckError> {
-        if table.digests.len() > self.layout.digest_chunks as usize {
-            return Ok(false);
-        }
-        let off = self.slot_digest_offset(slot);
-        let bytes = table.encode();
-        self.device.write_at(off, &bytes)?;
-        self.device.persist(off, bytes.len() as u64)?;
-        Ok(true)
-    }
-
-    /// Reads the per-chunk digest table for the committed checkpoint
-    /// `meta`, returning it only if it decodes *and* is bound to exactly
-    /// this commit (matching counter, payload digest, and payload length).
-    /// Any mismatch — including a torn or recycled table — yields `None`,
-    /// which callers treat as "verify the whole payload".
-    pub fn read_digest_table(&self, meta: &CheckMeta) -> Option<ChunkDigestTable> {
-        let mut buf = vec![0u8; self.layout.digest_stride() as usize];
-        self.device
-            .read_durable_at(self.slot_digest_offset(meta.slot), &mut buf)
-            .ok()?;
-        let table = ChunkDigestTable::decode(&buf).ok()?;
-        (table.counter == meta.counter
-            && table.payload_digest == meta.digest
-            && table.payload_len == meta.payload_len)
-            .then_some(table)
+    /// Reads and binds the frame table of the committed checkpoint `meta`
+    /// (see [`codec::read_frame`]); `None` for a slot holding no frame of
+    /// that commit.
+    pub fn read_frame(&self, meta: &CheckMeta) -> Option<FrameTable> {
+        self.layout.read_frame(self.device.as_ref(), meta)
     }
 
     /// The in-memory view of the newest committed checkpoint across every
@@ -1020,6 +994,54 @@ impl CheckpointStore {
         let base = self.slot_payload_offset(lease.slot);
         self.device.write_at(base + chunk_offset, data)?;
         Ok(())
+    }
+
+    /// Writes the leased slot's frame table after `packed_len` bytes of
+    /// records, where [`read_frame`](Self::read_frame) looks for it. Does
+    /// **not** persist: the caller fences `packed_len..+returned length`
+    /// (alone or together with the records). Returns the table's length.
+    ///
+    /// # Errors
+    ///
+    /// Propagates device errors; rejects a table past the slot's room.
+    pub fn write_frame_table(
+        &self,
+        lease: &SlotLease,
+        packed_len: u64,
+        table: &FrameTable,
+    ) -> Result<u64, PccheckError> {
+        table.write_after(packed_len, |off, bytes| {
+            if off + bytes.len() as u64 > self.layout.slot_area() {
+                return Err(PccheckError::InvalidConfig(format!(
+                    "frame table at {off}+{} exceeds the slot's room",
+                    bytes.len()
+                )));
+            }
+            let base = self.slot_payload_offset(lease.slot);
+            self.device.write_at(base + off, bytes)?;
+            Ok(())
+        })
+    }
+
+    /// Writes `payload` into the leased slot as an all-`Raw` frame —
+    /// records at their logical offsets, the table after them — without
+    /// persisting it. Returns the bytes written from the start of the
+    /// payload area, the range to persist before committing with
+    /// `payload_len = payload.len()`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates device errors; rejects payloads beyond the slot size.
+    pub fn write_whole_frame(
+        &self,
+        lease: &SlotLease,
+        payload: &[u8],
+    ) -> Result<u64, PccheckError> {
+        let len = payload.len() as u64;
+        self.write_payload(lease, 0, payload)?;
+        let mut raw = codec::RawFrame::new(len, codec::WHOLE_RECORD, self.frame_capacity());
+        raw.feed(payload);
+        Ok(len + self.write_frame_table(lease, len, &raw.finish(lease.counter))?)
     }
 
     /// Persists a payload range of the leased slot (msync/fence granularity
@@ -1524,6 +1546,16 @@ impl RawStoreView {
         self.layout.slot_meta(slot) + META_RECORD_SIZE
     }
 
+    /// Reads and binds `meta`'s frame table from durable bytes (see
+    /// [`codec::read_frame`]).
+    pub fn read_frame(
+        &self,
+        device: &dyn PersistentDevice,
+        meta: &CheckMeta,
+    ) -> Option<FrameTable> {
+        self.layout.read_frame(device, meta)
+    }
+
     /// Device offset of the flight ring header (meaningful only when
     /// [`flight_records`](Self::flight_records) > 0).
     pub fn flight_base(&self) -> u64 {
@@ -1605,8 +1637,8 @@ mod tests {
 
     fn full_checkpoint(st: &CheckpointStore, iter: u64, payload: &[u8]) -> CommitOutcome {
         let lease = st.begin_checkpoint(None).unwrap();
-        st.write_payload(&lease, 0, payload).unwrap();
-        st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
+        let written = st.write_whole_frame(&lease, payload).unwrap();
+        st.persist_payload(&lease, 0, written).unwrap();
         let digest = crate::meta::checksum(payload);
         st.commit(lease, iter, payload.len() as u64, digest)
             .unwrap()
@@ -1869,7 +1901,8 @@ mod tests {
                 .unwrap(),
             b"abc"
         );
-        assert_eq!(view.flight_base(), st.slot_meta_offset(2) + 64 + 64);
+        let room = codec::table_room(st.frame_capacity());
+        assert_eq!(view.flight_base(), st.slot_meta_offset(2) + 64 + 64 + room);
     }
 
     fn delta_checkpoint(st: &CheckpointStore, iter: u64, payload: &[u8]) -> CommitOutcome {
@@ -1974,34 +2007,36 @@ mod tests {
     }
 
     #[test]
-    fn digest_table_round_trips_and_binds_to_commit() {
-        let st = store(8192, 3); // cap = ceil(8192/4096) = 2 chunk digests
-        assert_eq!(st.digest_chunks(), 2);
+    fn frame_table_round_trips_and_binds_to_commit() {
+        let st = store(8192, 3);
+        assert_eq!(
+            st.frame_capacity(),
+            64,
+            "small slots get the capacity floor"
+        );
         let payload: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
-        let digest = crate::meta::checksum(&payload);
         let lease = st.begin_checkpoint(None).unwrap();
-        let slot = lease.slot;
+        let mut raw = codec::RawFrame::new(8192, 4096, st.frame_capacity());
+        raw.feed(&payload);
+        let table = raw.finish(lease.counter);
         st.write_payload(&lease, 0, &payload).unwrap();
-        st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
-        let table = ChunkDigestTable::build(&payload, 4096, lease.counter, digest);
-        assert!(st.write_digest_table(slot, &table).unwrap());
-        st.commit(lease, 1, payload.len() as u64, digest).unwrap();
+        let table_len = st.write_frame_table(&lease, 8192, &table).unwrap();
+        st.persist_payload(&lease, 0, 8192 + table_len).unwrap();
+        st.commit(lease, 1, 8192, crate::meta::checksum(&payload))
+            .unwrap();
         let meta = st.latest_committed().unwrap();
-        let read = st.read_digest_table(&meta).unwrap();
-        assert_eq!(read, table);
-        for i in 0..read.digests.len() {
-            let (off, len) = read.chunk_range(i);
-            assert!(read.verify_chunk(i, &payload[off as usize..(off + len) as usize]));
-        }
-        // A table from a different commit is rejected.
-        let mut stale = meta;
-        stale.counter += 1;
-        assert!(st.read_digest_table(&stale).is_none());
-        // A table bigger than the provisioned capacity is skipped, not
-        // truncated.
-        let fine = ChunkDigestTable::build(&payload, 256, meta.counter, digest);
-        assert!(!st.write_digest_table(slot, &fine).unwrap());
-        assert_eq!(st.read_digest_table(&meta).unwrap(), table);
+        assert_eq!(st.read_frame(&meta), Some(table.clone()));
+        let view = RawStoreView::load(st.device().as_ref()).unwrap();
+        assert_eq!(view.read_frame(st.device().as_ref(), &meta), Some(table));
+        // A table past the slot's room is refused before any write.
+        let lease = st.begin_checkpoint(None).unwrap();
+        let huge = FrameTable {
+            counter: lease.counter,
+            logical_len: 0,
+            records: Vec::new(),
+        };
+        assert!(st.write_frame_table(&lease, 1 << 20, &huge).is_err());
+        st.commit(lease, 2, 0, 0).unwrap();
     }
 
     #[test]
@@ -2253,18 +2288,20 @@ mod tests {
         full_checkpoint(&st, 1, b"one");
         let dev = Arc::clone(st.device());
         drop(st);
-        // The previous layout's magic, "PCcheCk1".
-        dev.write_at(0, &0x5043_6368_6543_6B31u64.to_le_bytes())
-            .unwrap();
-        dev.persist(0, 8).unwrap();
-        assert!(matches!(
-            CheckpointStore::open(Arc::clone(&dev)),
-            Err(PccheckError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            RawStoreView::load(dev.as_ref()),
-            Err(PccheckError::InvalidConfig(_))
-        ));
+        // The earlier layouts' magics: "PCcheCk1" (no namespaces) and
+        // "PCcheCk2" (per-slot digest region, unframed slots).
+        for old in [0x5043_6368_6543_6B31u64, 0x5043_6368_6543_6B32] {
+            dev.write_at(0, &old.to_le_bytes()).unwrap();
+            dev.persist(0, 8).unwrap();
+            assert!(matches!(
+                CheckpointStore::open(Arc::clone(&dev)),
+                Err(PccheckError::InvalidConfig(_))
+            ));
+            assert!(matches!(
+                RawStoreView::load(dev.as_ref()),
+                Err(PccheckError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]

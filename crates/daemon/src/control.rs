@@ -1,6 +1,6 @@
-//! The daemon's control endpoint: a hand-rolled HTTP listener in the
-//! same dependency-free style as the metrics server, so `pccheckctl job`
-//! can drive a running `pccheckd` remotely.
+//! The daemon's control endpoint: routes over the workspace's one
+//! hand-rolled HTTP listener ([`HttpServer`]), so `pccheckctl job` can
+//! drive a running `pccheckd` remotely.
 //!
 //! Routes (all GET, all JSON):
 //!
@@ -13,12 +13,10 @@
 //! * `/drain?name=<n>` — stop and drain a job (or unqueue it).
 //! * `/shutdown` — ask the daemon's serve loop to exit.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
 
+use pccheck_telemetry::HttpServer;
 use pccheck_util::ByteSize;
 
 use crate::service::{Daemon, JobSpec, JobStatus, SubmitOutcome};
@@ -144,52 +142,10 @@ fn handle(daemon: &Daemon, target: &str) -> (String, String) {
     }
 }
 
-fn serve_one(stream: TcpStream, daemon: &Daemon) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
-        return;
-    }
-    loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line == "\r\n" || line == "\n" => break,
-            Ok(_) => {}
-            Err(_) => break,
-        }
-    }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let target = parts.next().unwrap_or("");
-    let (status, body) = if method != "GET" {
-        ("405 Method Not Allowed".into(), "GET only\n".to_string())
-    } else {
-        handle(daemon, target)
-    };
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let mut stream = reader.into_inner();
-    let _ = stream.write_all(response.as_bytes());
-    let _ = stream.flush();
-    // Client closes first (see the metrics server's TIME_WAIT note).
-    let _ = stream.shutdown(Shutdown::Write);
-    let mut sink = [0u8; 64];
-    while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
-}
-
 /// The daemon's HTTP control listener (one accept loop on a background
 /// thread; joined on drop, so a restarted daemon can rebind its port).
 #[derive(Debug)]
-pub struct ControlServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
+pub struct ControlServer(HttpServer);
 
 impl ControlServer {
     /// Binds `addr` and serves `daemon`'s control routes.
@@ -198,53 +154,21 @@ impl ControlServer {
     ///
     /// Returns the bind error as a string.
     pub fn bind(addr: &str, daemon: Arc<Daemon>) -> Result<Self, String> {
-        let listener = TcpListener::bind(addr).map_err(|e| e.to_string())?;
-        let local = listener.local_addr().map_err(|e| e.to_string())?;
-        listener.set_nonblocking(true).map_err(|e| e.to_string())?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            while !stop_flag.load(Ordering::Acquire) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let _ = stream.set_nonblocking(false);
-                        serve_one(stream, &daemon);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        Ok(ControlServer {
-            addr: local,
-            stop,
-            handle: Some(handle),
+        HttpServer::bind(addr, move |target| {
+            let (status, body) = handle(&daemon, target);
+            (status, "application/json", body)
         })
+        .map(ControlServer)
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr()
     }
 
     /// Stops the accept loop and joins the thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ControlServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
+    pub fn shutdown(self) {
+        self.0.shutdown();
     }
 }
 

@@ -7,7 +7,9 @@
 //!
 //! [`HostBufferPool`] provides blocking `acquire` / RAII release with a peak
 //! usage counter, so experiments can verify Table 1's DRAM footprint (m to
-//! 2·m for PCcheck).
+//! 2·m for PCcheck). A chunk is allocated the first time it is handed out
+//! and reused from then on, so the memory the pool holds is its peak
+//! occupancy, not whatever the allocator happened to zero at creation.
 
 use std::sync::Arc;
 
@@ -20,6 +22,8 @@ use crate::Result;
 #[derive(Debug)]
 struct PoolState {
     free: Vec<Box<[u8]>>,
+    /// Chunks not yet allocated; `acquire` allocates one when `free` is empty.
+    unallocated: usize,
     outstanding: usize,
     peak_outstanding: usize,
 }
@@ -62,15 +66,13 @@ impl HostBufferPool {
     pub fn new(chunk_size: ByteSize, chunks: usize) -> Self {
         assert!(chunks > 0, "pool needs at least one chunk");
         assert!(!chunk_size.is_zero(), "chunk size must be nonzero");
-        let free = (0..chunks)
-            .map(|_| vec![0u8; chunk_size.as_usize()].into_boxed_slice())
-            .collect();
         HostBufferPool {
             shared: Arc::new(PoolShared {
                 chunk_size,
                 total_chunks: chunks,
                 state: Mutex::new(PoolState {
-                    free,
+                    free: Vec::with_capacity(chunks),
+                    unallocated: chunks,
                     outstanding: 0,
                     peak_outstanding: 0,
                 }),
@@ -96,7 +98,8 @@ impl HostBufferPool {
 
     /// Chunks currently free.
     pub fn available(&self) -> usize {
-        self.shared.state.lock().free.len()
+        let state = self.shared.state.lock();
+        state.free.len() + state.unallocated
     }
 
     /// High-water mark of simultaneously outstanding chunks — used to verify
@@ -111,22 +114,30 @@ impl HostBufferPool {
     /// are occupied, upcoming checkpoints need to wait for free chunks".
     pub fn acquire(&self) -> HostBuffer {
         let mut state = self.shared.state.lock();
-        while state.free.is_empty() {
+        loop {
+            if let Some(buf) = self.take(&mut state) {
+                return buf;
+            }
             self.shared.cond.wait(&mut state);
-        }
-        let data = state.free.pop().expect("non-empty");
-        state.outstanding += 1;
-        state.peak_outstanding = state.peak_outstanding.max(state.outstanding);
-        HostBuffer {
-            data: Some(data),
-            pool: Arc::clone(&self.shared),
         }
     }
 
     /// Tries to acquire a chunk without blocking.
     pub fn try_acquire(&self) -> Option<HostBuffer> {
-        let mut state = self.shared.state.lock();
-        let data = state.free.pop()?;
+        self.take(&mut self.shared.state.lock())
+    }
+
+    /// Hands out a free chunk, allocating one if none is free and the pool
+    /// has not reached its size; `None` when every chunk is out.
+    fn take(&self, state: &mut PoolState) -> Option<HostBuffer> {
+        let data = match state.free.pop() {
+            Some(data) => data,
+            None if state.unallocated > 0 => {
+                state.unallocated -= 1;
+                vec![0u8; self.shared.chunk_size.as_usize()].into_boxed_slice()
+            }
+            None => return None,
+        };
         state.outstanding += 1;
         state.peak_outstanding = state.peak_outstanding.max(state.outstanding);
         Some(HostBuffer {
@@ -218,6 +229,21 @@ mod tests {
         assert_eq!(pool.available(), 1);
         drop(a);
         assert_eq!(pool.available(), 2);
+    }
+
+    #[test]
+    fn released_chunks_are_reused_before_new_ones_are_allocated() {
+        let pool = HostBufferPool::new(ByteSize::from_bytes(16), 3);
+        let mut a = pool.acquire();
+        a.as_mut_slice().fill(0xab);
+        drop(a);
+        assert_eq!(pool.acquire().as_slice(), &[0xab; 16]);
+        let held: Vec<_> = (0..3).map(|_| pool.acquire()).collect();
+        assert_eq!(pool.available(), 0);
+        assert!(pool.try_acquire().is_none());
+        assert_eq!(pool.peak_outstanding(), 3);
+        drop(held);
+        assert_eq!(pool.available(), 3);
     }
 
     #[test]

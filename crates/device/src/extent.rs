@@ -130,6 +130,40 @@ impl ExtentTable {
             extents,
         })
     }
+
+    /// Decodes the table at the head of a delta slot's `payload` and binds
+    /// it to its commit: `None` unless it decodes and the FNV-1a of the
+    /// serialized table equals the commit's `digest`.
+    pub fn decode_bound(payload: &[u8], digest: u64) -> Option<ExtentTable> {
+        let table = ExtentTable::decode(payload).ok()?;
+        let table_len = usize::try_from(table.encoded_len()).ok()?;
+        (fnv1a(payload.get(..table_len)?) == digest).then_some(table)
+    }
+
+    /// Patches `state` with this delta's packed extents, read from the
+    /// slot `payload` the table heads, checking every extent against its
+    /// digest. `None` — with `state` possibly half patched — when `state`
+    /// is not `full_len` bytes, the payload is short, an extent falls
+    /// outside the state, or a digest does not match.
+    pub fn apply(&self, payload: &[u8], state: &mut [u8]) -> Option<()> {
+        if state.len() as u64 != self.full_len {
+            return None;
+        }
+        let mut src = usize::try_from(self.encoded_len()).ok()?;
+        for rec in &self.extents {
+            let len = usize::try_from(rec.len).ok()?;
+            let packed = payload.get(src..src.checked_add(len)?)?;
+            if fnv1a(packed) != rec.digest {
+                return None;
+            }
+            let dst = usize::try_from(rec.offset).ok()?;
+            state
+                .get_mut(dst..dst.checked_add(len)?)?
+                .copy_from_slice(packed);
+            src += len;
+        }
+        Some(())
+    }
 }
 
 #[cfg(test)]
@@ -220,6 +254,42 @@ mod tests {
             ExtentTable::decode(&[0u8; 8]),
             Err(DeviceError::CorruptExtentTable)
         );
+    }
+
+    #[test]
+    fn apply_patches_only_verified_extents() {
+        let full = vec![7u8; 64];
+        let mut patched = full.clone();
+        patched[8..16].copy_from_slice(&[1u8; 8]);
+        let table = ExtentTable {
+            full_len: 64,
+            full_digest: 0,
+            extents: vec![ExtentRecord {
+                offset: 8,
+                len: 8,
+                digest: fnv1a(&[1u8; 8]),
+            }],
+        };
+        let mut payload = table.encode();
+        let digest = fnv1a(&payload);
+        payload.extend_from_slice(&[1u8; 8]);
+        assert_eq!(
+            ExtentTable::decode_bound(&payload, digest),
+            Some(table.clone())
+        );
+        assert!(ExtentTable::decode_bound(&payload, digest ^ 1).is_none());
+        let mut state = full.clone();
+        assert_eq!(table.apply(&payload, &mut state), Some(()));
+        assert_eq!(state, patched);
+        // A flipped packed byte, a short payload, or a state of another
+        // length is refused.
+        let mut torn = payload.clone();
+        *torn.last_mut().unwrap() ^= 1;
+        assert!(table.apply(&torn, &mut full.clone()).is_none());
+        assert!(table
+            .apply(&payload[..payload.len() - 1], &mut full.clone())
+            .is_none());
+        assert!(table.apply(&payload, &mut [7u8; 63]).is_none());
     }
 
     #[test]

@@ -44,7 +44,6 @@
 
 pub mod composite;
 pub mod device;
-pub mod digest_table;
 pub mod dram;
 pub mod error;
 pub mod extent;
@@ -59,7 +58,6 @@ pub use composite::{StripedDevice, TieredDevice, DEFAULT_MEMBER_QUEUE_DEPTH};
 pub use device::{
     DeviceConfig, DeviceStats, DeviceStatsReport, PersistentDevice, SubmissionTicket,
 };
-pub use digest_table::{chunk_count, ChunkDigestTable, DIGEST_TABLE_HEADER, DIGEST_TABLE_MAGIC};
 pub use dram::{HostBuffer, HostBufferPool};
 pub use error::DeviceError;
 pub use extent::{chunk_digest, fnv1a, fnv1a_fold, ExtentRecord, ExtentTable, FNV_SEED};

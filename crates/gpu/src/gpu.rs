@@ -228,7 +228,7 @@ impl Gpu {
     /// Panics if the payload size does not match the current layout.
     pub fn restore(&self, payload: &[u8], step: u64) {
         self.write(|state, dirty| {
-            *state = TrainingState::restore(&state.layout(), payload, step);
+            state.load(payload, step);
             // The restored state has no committed base on the new timeline.
             *dirty = vec![(0, state.size().as_u64())];
         });

@@ -315,6 +315,28 @@ impl TrainingState {
         }
     }
 
+    /// Overwrites this state in place from a flat payload of its own
+    /// layout and the step counter it was taken at. Unlike
+    /// [`restore`](Self::restore) it allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `payload` does not match the state's total size.
+    pub fn load(&mut self, payload: &[u8], step: u64) {
+        assert_eq!(
+            payload.len() as u64,
+            self.size().as_u64(),
+            "payload size mismatch"
+        );
+        let mut off = 0usize;
+        for t in &mut self.tensors {
+            let n = t.data.len();
+            t.data.copy_from_slice(&payload[off..off + n]);
+            off += n;
+        }
+        self.step = step;
+    }
+
     /// Reconstructs a state from a flat payload and the step counter it was
     /// taken at — the recovery path.
     ///
@@ -386,6 +408,24 @@ mod tests {
         assert_eq!(r.digest(), s.digest());
         assert_eq!(r.step_count(), 5);
         assert_eq!(r, s);
+    }
+
+    #[test]
+    fn load_overwrites_in_place_like_restore() {
+        let mut src = small_state(6);
+        src.step();
+        let mut buf = vec![0u8; src.size().as_usize()];
+        src.serialize_into(&mut buf);
+        let mut s = small_state(7);
+        s.load(&buf, src.step_count());
+        assert_eq!(s, TrainingState::restore(&src.layout(), &buf, 1));
+        assert_eq!(s.digest(), src.digest());
+    }
+
+    #[test]
+    #[should_panic(expected = "payload size mismatch")]
+    fn load_rejects_a_payload_of_another_size() {
+        small_state(8).load(&[0u8; 299], 0);
     }
 
     #[test]

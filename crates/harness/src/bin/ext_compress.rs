@@ -12,7 +12,7 @@ fn main() -> std::io::Result<()> {
         "logical_bytes",
         "persisted_bytes",
         "saved_ratio",
-        "framed",
+        "coded",
         "dedup_chunks",
         "recovered"
     );
@@ -25,7 +25,7 @@ fn main() -> std::io::Result<()> {
             r.logical_bytes,
             r.persisted_bytes,
             r.bytes_saved_ratio,
-            r.framed,
+            r.coded,
             r.dedup_chunks,
             r.recovered_bit_identical
         );

@@ -6,16 +6,16 @@
 //! unchanged between checkpoints and therefore the cross-checkpoint dedup
 //! hit rate) through the concrete
 //! [`PersistPipeline::checkpoint_framed`] path. Each row reports the
-//! physical bytes the framed path persisted against the logical bytes the
+//! physical bytes the codec path persisted against the logical bytes the
 //! raw path would have written — the persist-bytes reduction
 //! `BENCH_pr10.json` asserts on the high-redundancy sweep — plus how many
-//! checkpoints actually framed and how many chunks resolved as dedup
+//! checkpoints the codec shrank and how many chunks resolved as dedup
 //! references. Every run finishes with a cold recovery and checks the
 //! reconstructed payload bit-for-bit against the final device-side state.
 
 use std::sync::Arc;
 
-use pccheck::{recover, CheckpointStore, DeltaPolicy, FramedOutcome, PersistPipeline, PipelineCtx};
+use pccheck::{recover, CheckpointStore, DeltaPolicy, PersistPipeline, PipelineCtx};
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Gpu, GpuConfig, TrainingState};
 use pccheck_telemetry::{SpanId, Telemetry};
@@ -47,12 +47,13 @@ pub struct ExtCompressRow {
     pub checkpoints: u64,
     /// Bytes the raw path would persist (checkpoints × state size).
     pub logical_bytes: u64,
-    /// Bytes the framed path actually persisted.
+    /// Bytes the codec path actually persisted: packed records plus each
+    /// frame's table.
     pub persisted_bytes: u64,
     /// `logical_bytes / persisted_bytes`.
     pub bytes_saved_ratio: f64,
-    /// Checkpoints that persisted a frame (vs raw fallback).
-    pub framed: u64,
+    /// Checkpoints whose frame the codec shrank (the rest are all-`Raw`).
+    pub coded: u64,
     /// Chunks stored as dedup references across the run.
     pub dedup_chunks: u64,
     /// Cold recovery reproduced the final state bit-for-bit.
@@ -78,14 +79,9 @@ pub fn measure(period: usize, sparsity: f64) -> ExtCompressRow {
         Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
     let store =
         Arc::new(CheckpointStore::format(Arc::clone(&device), gpu.state_size(), slots, 0).unwrap());
-    // The framed copy stages the whole snapshot, so the pool must cover it.
-    let pool_chunks = (STATE_BYTES / CHUNK_BYTES) as usize;
     let pipeline = PersistPipeline::new(store)
         .with_writers(2)
-        .with_staging(HostBufferPool::new(
-            ByteSize::from_bytes(CHUNK_BYTES),
-            pool_chunks,
-        ))
+        .with_staging(HostBufferPool::new(ByteSize::from_bytes(CHUNK_BYTES), 8))
         .with_codec(true);
     let telemetry = Telemetry::disabled();
     let ctx = PipelineCtx {
@@ -99,7 +95,7 @@ pub fn measure(period: usize, sparsity: f64) -> ExtCompressRow {
         max_chain: 8,
     };
     let mut persisted_bytes = 0u64;
-    let mut framed = 0u64;
+    let mut coded = 0u64;
     let mut dedup_chunks = 0u64;
     let mut final_state = Vec::new();
     for iter in 1..=CHECKPOINTS {
@@ -116,18 +112,9 @@ pub fn measure(period: usize, sparsity: f64) -> ExtCompressRow {
             guard.copy_range_to_host(0, &mut final_state);
         }
         drop(guard);
-        match outcome {
-            FramedOutcome::Framed {
-                payload_len,
-                dedup_chunks: chunks,
-                ..
-            } => {
-                persisted_bytes += payload_len;
-                framed += 1;
-                dedup_chunks += chunks;
-            }
-            FramedOutcome::Raw => persisted_bytes += STATE_BYTES,
-        }
+        persisted_bytes += outcome.persisted_len();
+        coded += u64::from(outcome.saved_bytes > 0);
+        dedup_chunks += outcome.dedup_chunks;
     }
     let recovered = recover(device).expect("committed store recovers");
     let recovered_bit_identical =
@@ -140,7 +127,7 @@ pub fn measure(period: usize, sparsity: f64) -> ExtCompressRow {
         logical_bytes,
         persisted_bytes,
         bytes_saved_ratio: logical_bytes as f64 / persisted_bytes as f64,
-        framed,
+        coded,
         dedup_chunks,
         recovered_bit_identical,
     }
@@ -172,7 +159,7 @@ pub fn write_csv<W: std::io::Write>(rows: &[ExtCompressRow], out: W) -> std::io:
             "logical_bytes",
             "persisted_bytes",
             "bytes_saved_ratio",
-            "framed",
+            "coded",
             "dedup_chunks",
             "recovered_bit_identical",
         ],
@@ -185,7 +172,7 @@ pub fn write_csv<W: std::io::Write>(rows: &[ExtCompressRow], out: W) -> std::io:
             &r.logical_bytes,
             &r.persisted_bytes,
             &format_args!("{:.2}", r.bytes_saved_ratio),
-            &r.framed,
+            &r.coded,
             &r.dedup_chunks,
             &r.recovered_bit_identical,
         ])?;
@@ -200,7 +187,10 @@ mod tests {
     #[test]
     fn high_redundancy_sweep_saves_at_least_three_x() {
         let row = measure(16, 0.05);
-        assert_eq!(row.framed, row.checkpoints, "every checkpoint frames");
+        assert_eq!(
+            row.coded, row.checkpoints,
+            "the codec shrinks every checkpoint"
+        );
         assert!(
             row.bytes_saved_ratio >= 3.0,
             "period-16 tiles at 5% sparsity must save >=3x, got {:.2}",
@@ -210,11 +200,17 @@ mod tests {
     }
 
     #[test]
-    fn dense_incompressible_payloads_fall_back_to_raw() {
+    fn dense_incompressible_payloads_stay_raw() {
         let row = measure(0, 1.00);
-        assert_eq!(row.framed, 0, "RNG-dense state must never frame");
-        assert_eq!(row.persisted_bytes, row.logical_bytes);
-        assert!((row.bytes_saved_ratio - 1.0).abs() < 1e-9);
+        assert_eq!(row.coded, 0, "RNG-dense state must never shrink");
+        // Every record is stored raw; the frame tables are the only
+        // overhead.
+        let overhead = row.persisted_bytes - row.logical_bytes;
+        assert!(
+            overhead > 0 && overhead * 100 < row.logical_bytes,
+            "table overhead {overhead} B over {} B",
+            row.logical_bytes
+        );
         assert!(row.recovered_bit_identical);
     }
 

@@ -10,9 +10,9 @@
 //! checkpoint across payload size × readers × stripe ways on throttled
 //! simulated SSDs, where reader parallelism (not CPU) is the bottleneck.
 //!
-//! The checkpoint is persisted through [`pccheck::PersistPipeline`], so
-//! the slot carries a per-chunk digest table and the restore verifies
-//! chunks independently as they land — preemption-grade restart latency
+//! The checkpoint is persisted through [`pccheck::PersistPipeline`] as a
+//! frame of `READ_CHUNK`-byte records, and the restore verifies records
+//! independently as they land — preemption-grade restart latency
 //! is `payload / (min(r, ways) · member_bandwidth)` plus a verification
 //! overhang that overlaps the reads.
 
@@ -43,7 +43,7 @@ pub const MEMBER_MB_PER_SEC: f64 = 200.0;
 /// `r` readers drain `r` members' buckets concurrently.
 pub const STRIPE_UNIT: u64 = 8 * 1024 * 1024;
 
-/// Restore read granularity (and the persist-side digest-table grain).
+/// Persist chunk size, and so the frame's record (restore read) size.
 pub const READ_CHUNK: u64 = 128 * 1024;
 
 /// Payload sizes swept by [`run`]. The larger size gives every 4-reader
@@ -74,7 +74,7 @@ pub struct ExtRestoreRow {
 }
 
 /// A formatted store on a (possibly striped) throttled device set with one
-/// committed checkpoint of `size` whose slot carries a digest table.
+/// committed checkpoint of `size`.
 /// Public so `bench_pr5` drives the identical geometry.
 pub fn committed_store(size: ByteSize, ways: u32) -> Arc<CheckpointStore> {
     let cap = CheckpointStore::required_capacity(size, 2) + ByteSize::from_kb(64);
@@ -137,13 +137,14 @@ pub fn measure_store(store: &Arc<CheckpointStore>, readers: usize) -> f64 {
         telemetry: &telemetry,
         span: SpanId::NONE,
     };
-    let pipeline = RestorePipeline::new(Arc::clone(store))
-        .with_readers(readers)
-        .with_read_chunk(ByteSize::from_bytes(READ_CHUNK));
-    pipeline.fetch_verified(ctx, &meta).expect("warmup restore");
+    let pipeline = RestorePipeline::new(Arc::clone(store)).with_readers(readers);
+    let table = store.read_frame(&meta).expect("committed frame");
+    pipeline
+        .fetch_state(ctx, &meta, &table, &[])
+        .expect("warmup restore");
     let t0 = Instant::now();
-    let payload = pipeline
-        .fetch_verified(ctx, &meta)
+    let (payload, _) = pipeline
+        .fetch_state(ctx, &meta, &table, &[])
         .expect("restore verifies");
     let secs = t0.elapsed().as_secs_f64();
     assert_eq!(payload.len() as u64, meta.payload_len);

@@ -50,10 +50,8 @@ fn measured_protocol_secs() -> f64 {
     let payload = vec![0x5A; state.as_u64() as usize];
     for iteration in [1u64, 2] {
         let lease = store.begin_checkpoint(None).expect("owner namespace");
-        store.write_payload(&lease, 0, &payload).expect("write");
-        store
-            .persist_payload(&lease, 0, payload.len() as u64)
-            .expect("persist");
+        let written = store.write_whole_frame(&lease, &payload).expect("write");
+        store.persist_payload(&lease, 0, written).expect("persist");
         let digest = StateDigest::of_payload(&payload, iteration).0;
         store
             .commit(lease, iteration, payload.len() as u64, digest)

@@ -110,7 +110,7 @@ pub enum DeviceTopology {
         ways: u32,
     },
     /// A [`TieredDevice`]: a hot tier holding the slot region with the
-    /// flight ring and digest tables spilling to a second SSD. The crash
+    /// flight ring and directory spilling to a second SSD. The crash
     /// fires the *tier member's* fuse; the composite powers off the whole
     /// device when the member persist fails, exactly like a shared power
     /// domain.
@@ -267,18 +267,7 @@ pub fn commit_delta_checkpoint_scoped(
     let counter = lease.counter;
     let len = payload.len() as u64;
     store.write_payload(&lease, 0, &payload)?;
-    store
-        .flight()
-        .record(FlightEventKind::CopyDone, counter, lease.slot, 0, len, 0);
-    store.persist_payload(&lease, 0, len)?;
-    store.flight().record(
-        FlightEventKind::PayloadPersisted,
-        counter,
-        lease.slot,
-        iteration,
-        len,
-        0,
-    );
+    persist_staged(store, &lease, iteration, len, len)?;
     let digest = fnv1a(&payload[..table_len as usize]);
     store.commit_with_delta(
         lease,
@@ -323,22 +312,37 @@ pub fn commit_checkpoint_scoped(
     let lease = store.begin_checkpoint(Some(job))?;
     let counter = lease.counter;
     let len = payload.len() as u64;
-    store.write_payload(&lease, 0, payload)?;
+    let written = store.write_whole_frame(&lease, payload)?;
+    persist_staged(store, &lease, iteration, len, written)?;
+    let digest = StateDigest::of_payload(payload, iteration).0;
+    store.commit(lease, iteration, len, digest)?;
+    Ok(counter)
+}
+
+/// Persists the first `written` bytes of `lease`'s slot, recording the
+/// engine's `CopyDone` and `PayloadPersisted` milestones for a `len`-byte
+/// payload around the fence.
+fn persist_staged(
+    store: &CheckpointStore,
+    lease: &pccheck::store::SlotLease,
+    iteration: u64,
+    len: u64,
+    written: u64,
+) -> Result<(), PccheckError> {
+    let (counter, slot) = (lease.counter, lease.slot);
     store
         .flight()
-        .record(FlightEventKind::CopyDone, counter, lease.slot, 0, len, 0);
-    store.persist_payload(&lease, 0, len)?;
+        .record(FlightEventKind::CopyDone, counter, slot, 0, len, 0);
+    store.persist_payload(lease, 0, written)?;
     store.flight().record(
         FlightEventKind::PayloadPersisted,
         counter,
-        lease.slot,
+        slot,
         iteration,
         len,
         0,
     );
-    let digest = StateDigest::of_payload(payload, iteration).0;
-    store.commit(lease, iteration, len, digest)?;
-    Ok(counter)
+    Ok(())
 }
 
 /// Drives one checkpoint up to (but not through) `point`, emitting the
@@ -375,26 +379,10 @@ pub fn drive_to_crash_point_scoped(
     payload: &[u8],
 ) -> Result<(u64, u32), PccheckError> {
     if point == CrashPoint::AfterCommit {
-        let lease = store.begin_checkpoint(Some(job))?;
-        let slot = lease.slot;
-        let counter = lease.counter;
-        let len = payload.len() as u64;
-        store.write_payload(&lease, 0, payload)?;
-        store
-            .flight()
-            .record(FlightEventKind::CopyDone, counter, slot, 0, len, 0);
-        store.persist_payload(&lease, 0, len)?;
-        store.flight().record(
-            FlightEventKind::PayloadPersisted,
-            counter,
-            slot,
-            iteration,
-            len,
-            0,
-        );
-        let digest = StateDigest::of_payload(payload, iteration).0;
-        store.commit(lease, iteration, len, digest)?;
-        return Ok((counter, slot));
+        let counter = commit_checkpoint_scoped(store, job, iteration, payload)?;
+        let head = store.latest_committed_job(job)?;
+        let slot = head.filter(|m| m.counter == counter).map(|m| m.slot);
+        return Ok((counter, slot.ok_or(PccheckError::NoCheckpoint)?));
     }
     if point == CrashPoint::DeltaChain {
         // A delta committed halfway between the baseline and the crash
@@ -418,18 +406,7 @@ pub fn drive_to_crash_point_scoped(
         let (counter, slot) = (lease.counter, lease.slot);
         let dlen = delta_payload.len() as u64;
         store.write_payload(&lease, 0, &delta_payload)?;
-        store
-            .flight()
-            .record(FlightEventKind::CopyDone, counter, slot, 0, dlen, 0);
-        store.persist_payload(&lease, 0, dlen)?;
-        store.flight().record(
-            FlightEventKind::PayloadPersisted,
-            counter,
-            slot,
-            iteration,
-            dlen,
-            0,
-        );
+        persist_staged(store, &lease, iteration, dlen, dlen)?;
         std::mem::forget(lease);
         return Ok((counter, slot));
     }
@@ -447,26 +424,15 @@ pub fn drive_to_crash_point_scoped(
             store.write_payload(&lease, 0, &payload[..payload.len() / 2])?;
         }
         CrashPoint::DuringPersist => {
-            store.write_payload(&lease, 0, payload)?;
+            store.write_whole_frame(&lease, payload)?;
             store
                 .flight()
                 .record(FlightEventKind::CopyDone, counter, slot, 0, len, 0);
             // The fatal msync is the caller's move.
         }
         CrashPoint::BetweenPersistAndCommit => {
-            store.write_payload(&lease, 0, payload)?;
-            store
-                .flight()
-                .record(FlightEventKind::CopyDone, counter, slot, 0, len, 0);
-            store.persist_payload(&lease, 0, len)?;
-            store.flight().record(
-                FlightEventKind::PayloadPersisted,
-                counter,
-                slot,
-                iteration,
-                len,
-                0,
-            );
+            let written = store.write_whole_frame(&lease, payload)?;
+            persist_staged(store, &lease, iteration, len, written)?;
         }
         CrashPoint::AfterCommit | CrashPoint::DeltaChain => unreachable!("handled above"),
     }
@@ -527,8 +493,8 @@ pub fn run_crash_scenario_with(
         }
         DeviceTopology::Tiered => {
             // The tier covers the header + slot region (where the fatal
-            // payload persist lands); the flight ring and digest tables
-            // spill over the boundary to the second SSD.
+            // payload persist lands); the flight ring, directory and state
+            // words spill over the boundary to the second SSD.
             let tier_cap = CheckpointStore::required_capacity(state, cfg.slots);
             let tier = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(tier_cap)));
             let spill = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
@@ -774,7 +740,6 @@ mod tests {
                     cfg,
                     RestoreOptions {
                         readers: 4,
-                        probe: 2,
                         job: None,
                     },
                 )
@@ -792,7 +757,6 @@ mod tests {
                     &Telemetry::disabled(),
                     RestoreOptions {
                         readers: 1,
-                        probe: 1,
                         job: None,
                     },
                 )

@@ -29,21 +29,19 @@
 //!    would recover has a counter ≥ every `Commit` the ring witnessed
 //!    (`CHECK_ADDR` persists *before* the ring's `Commit` record, so the
 //!    ring can never be ahead of the durable pointer).
-//! 5. **Committed slots are intact** — the payload of every slot holding
-//!    a complete checkpoint verifies against its recorded digest (for a
-//!    delta slot: the extent table at the head of the payload; for a
-//!    chunk-framed codec slot: the frame table, bound to the commit's
-//!    counter).
-//! 6. **Delta chains are whole** — when the recovery target is a delta
-//!    checkpoint, every base pointer lands on a slot still holding that
-//!    base (superseded bases stay pinned until their dependents retire),
-//!    every base committed per the ring, and replaying the chain
-//!    reconstructs a state matching the newest table's full digest. A
-//!    chunk-framed layer roots the chain: it materializes the complete
-//!    logical state on its own (decompressing LZ chunks and resolving
-//!    self/base dedup references with re-verified content addresses), so
-//!    the auditor replays the frame exactly the way recovery would —
-//!    including for framed recovery targets with no delta link at all.
+//! 5. **Committed slots are intact** — every slot holding a complete
+//!    checkpoint holds either a frame that resolves exactly the way
+//!    recovery resolves it (the shared `pccheck::codec` resolver: LZ
+//!    records decompressed, self/base dedup references followed, every
+//!    record's content address and the end-to-end state digest checked),
+//!    or an extent delta whose table at the head of the payload matches
+//!    the recorded digest.
+//! 6. **Delta chains are whole** — for an extent-delta recovery target,
+//!    every base pointer must land on a slot still holding that base
+//!    (superseded bases stay pinned until their dependents retire), every
+//!    base must have committed per the ring, and replaying the chain over
+//!    its frame root must reconstruct a state matching the newest table's
+//!    full digest.
 //!
 //! A report that violates any invariant means either real corruption or a
 //! bug in the checkpointing protocol — `pccheckctl forensics` exits
@@ -53,14 +51,10 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use pccheck::{
-    lz_decompress, CheckMeta, ChunkEncoding, FrameTable, PccheckError, RawStoreView, SlotOutcome,
-    FRAME_MAGIC,
-};
-use pccheck_device::{fnv1a, ExtentTable, PersistentDevice};
-use pccheck_gpu::StateDigest;
+use pccheck::codec::payload_digest_matches;
+use pccheck::{CheckMeta, FrameTable, PccheckError, RawStoreView, SlotOutcome};
+use pccheck_device::{ExtentTable, PersistentDevice};
 use pccheck_telemetry::{FlightEventKind, FlightRecord, FlightRing};
-use pccheck_util::fnv::chunk_digest;
 
 /// How far an in-flight (never terminated) checkpoint got before the
 /// crash, per the flight ring.
@@ -564,25 +558,24 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
         }
     }
 
-    // Invariant 5 + payload_valid: verify slot payloads against digests.
-    // A delta slot's digest covers the extent table at the payload head.
-    // Every namespace's recovery head is a target — one tenant's torn
-    // head is a violation even when another tenant holds the globally
-    // newest commit.
+    // Invariant 5 + payload_valid: every slot holds a frame that resolves
+    // the way recovery resolves it, or an extent delta whose digest covers
+    // the extent table at the payload head. Every namespace's recovery
+    // head is a target — one tenant's torn head is a violation even when
+    // another tenant holds the globally newest commit.
     let recovery_targets: Vec<CheckMeta> =
         namespace_recovery.iter().filter_map(|(_, m)| *m).collect();
     for slot in 0..view.slots {
         let Some(meta) = view.slot_meta[slot as usize] else {
             continue;
         };
-        let payload = view.read_slot_payload(device.as_ref(), slot)?;
-        let valid = if is_framed_payload(&payload) {
-            framed_table_valid(&payload, &meta)
+        let valid = if view.read_frame(device.as_ref(), &meta).is_some() {
+            resolve_frame(device.as_ref(), &view, &meta).is_some()
         } else if meta.is_delta() {
-            delta_table_valid(&payload, meta.digest)
+            let payload = view.read_slot_payload(device.as_ref(), slot)?;
+            ExtentTable::decode_bound(&payload, meta.digest).is_some()
         } else {
-            StateDigest::of_payload(&payload, meta.iteration).0 == meta.digest
-                || pccheck_raw_checksum(&payload) == meta.digest
+            false
         };
         if let Some(CheckpointVerdict::Committed { payload_valid, .. }) =
             checkpoints.get_mut(&meta.counter)
@@ -644,35 +637,18 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
         }
     }
 
-    // Invariant 6: a delta recovery target's chain must be whole, built on
-    // committed bases, and replayable to the recorded full-state digest.
-    // Every tenant's head is audited. (A framed target
-    // carrying a delta link roots its own chain and replays as a frame
-    // inside `replay_chain`.)
-    for target in recovery_targets.iter().filter(|m| m.is_delta()) {
-        audit_delta_chain(
-            device.as_ref(),
-            &view,
-            target,
-            &checkpoints,
-            &mut violations,
-        )?;
-    }
-
-    // Invariant 6 for unlinked framed targets: a chunk-framed recovery
-    // head with no delta link still resolves chunks out of other slots
-    // (self/base dedup), so it gets the same deep replay a chain root
-    // does — invariant 5's table check alone would miss a torn packed
-    // region or a vanished dedup base.
-    for target in recovery_targets.iter().filter(|m| !m.is_delta()) {
-        let payload = view.read_slot_payload(device.as_ref(), target.slot)?;
-        if is_framed_payload(&payload)
-            && replay_frame(device.as_ref(), &view, target, &payload).is_none()
-        {
-            violations.push(InvariantViolation::TornCommittedSlot {
-                slot: target.slot,
-                counter: target.counter,
-            });
+    // Invariant 6: an extent-delta target's chain must be whole, built on
+    // committed bases, and replayable to the recorded full-state digest
+    // (a frame target already resolved under invariant 5).
+    for target in &recovery_targets {
+        if target.is_delta() && view.read_frame(device.as_ref(), target).is_none() {
+            audit_delta_chain(
+                device.as_ref(),
+                &view,
+                target,
+                &checkpoints,
+                &mut violations,
+            )?;
         }
     }
 
@@ -705,142 +681,40 @@ fn bump_phase(
     }
 }
 
-/// Whether a delta payload's extent table decodes and matches the slot
-/// meta's digest (which covers the serialized table only).
-fn delta_table_valid(payload: &[u8], digest: u64) -> bool {
-    let Ok(table) = ExtentTable::decode(payload) else {
-        return false;
-    };
-    let Ok(table_len) = usize::try_from(table.encoded_len()) else {
-        return false;
-    };
-    payload
-        .get(..table_len)
-        .is_some_and(|t| pccheck_raw_checksum(t) == digest)
-}
-
-/// Whether a slot payload begins with the chunk-frame magic (the codec
-/// persist path).
-fn is_framed_payload(payload: &[u8]) -> bool {
-    payload.len() >= 8
-        && u64::from_le_bytes(payload[..8].try_into().expect("8 bytes")) == FRAME_MAGIC
-}
-
-/// Shallow framed-slot check for invariant 5: the frame table decodes,
-/// is bound to this commit's counter, and matches the meta digest (which
-/// covers the serialized table, exactly like a delta slot's).
-fn framed_table_valid(payload: &[u8], meta: &CheckMeta) -> bool {
-    let Some(table) = FrameTable::decode(payload) else {
-        return false;
-    };
-    let Ok(table_len) = usize::try_from(table.encoded_len()) else {
-        return false;
-    };
-    table.counter == meta.counter
-        && payload
-            .get(..table_len)
-            .is_some_and(|t| pccheck_raw_checksum(t) == meta.digest)
-}
-
-/// A dedup base checkpoint's meta record and raw slot payload.
-type BasePayload = (CheckMeta, Vec<u8>);
-
-/// Fully materializes a framed slot the way recovery would: decompresses
-/// LZ chunks, copies self-dedup references, resolves base-dedup
-/// references out of the named base slots, re-verifies every chunk's
-/// content address, and checks the reconstructed payload against the
-/// frame's end-to-end digest. Returns `(logical payload, full digest)`;
-/// `None` on any broken promise.
-fn replay_frame(
+/// Fully materializes `meta`'s frame the way recovery would, through the
+/// shared `pccheck::codec` resolver: plans the record reads (base
+/// references resolved against the slots' durable frames), verifies every
+/// record's content address, and checks the reconstructed state against
+/// the commit's digest. `None` on any broken promise.
+fn resolve_frame(
     device: &dyn PersistentDevice,
     view: &RawStoreView,
     meta: &CheckMeta,
-    payload: &[u8],
-) -> Option<(Vec<u8>, u64)> {
-    let table = FrameTable::decode(payload)?;
-    let table_len = usize::try_from(table.encoded_len()).ok()?;
-    if table.counter != meta.counter
-        || pccheck_raw_checksum(payload.get(..table_len)?) != meta.digest
-    {
-        return None;
-    }
-    let packed = payload.get(table_len..)?;
+) -> Option<Vec<u8>> {
+    let table = view.read_frame(device, meta)?;
+    let mut base = |slot: u32, counter: u64| -> Option<FrameTable> {
+        let base = view.slot_meta.get(slot as usize).copied().flatten()?;
+        (base.counter == counter)
+            .then(|| view.read_frame(device, &base))
+            .flatten()
+    };
+    let reads = table.reads(meta.slot, &mut base)?;
     let mut out = vec![0u8; usize::try_from(table.logical_len).ok()?];
-    // Base payloads read once per referenced checkpoint, not per chunk.
-    let mut bases: BTreeMap<(u64, u32), Option<BasePayload>> = BTreeMap::new();
-    let mut offsets = Vec::with_capacity(table.records.len());
-    let mut off = 0usize;
-    for r in &table.records {
-        offsets.push(off);
-        let n = usize::try_from(r.logical_len).ok()?;
-        match r.kind {
-            ChunkEncoding::Raw | ChunkEncoding::Lz => {
-                let end = usize::try_from(r.a.checked_add(r.b)?).ok()?;
-                let src = packed.get(usize::try_from(r.a).ok()?..end)?;
-                if r.kind == ChunkEncoding::Raw {
-                    out.get_mut(off..off + n)?.copy_from_slice(src);
-                } else {
-                    out.get_mut(off..off + n)?
-                        .copy_from_slice(&lz_decompress(src, n)?);
-                }
-            }
-            ChunkEncoding::DedupSelf => {
-                let j = *offsets.get(r.aux as usize)?;
-                out.copy_within(j..j + n, off);
-            }
-            ChunkEncoding::DedupBase => {
-                let entry = bases.entry((r.a, r.aux)).or_insert_with(|| {
-                    let base = view
-                        .slot_meta
-                        .get(r.aux as usize)
-                        .copied()
-                        .flatten()
-                        .filter(|m| m.counter == r.a)?;
-                    let buf = view.read_slot_payload(device, base.slot).ok()?;
-                    Some((base, buf))
-                });
-                let (base_meta, base_payload) = entry.as_ref()?;
-                let chunk = base_chunk(base_meta, base_payload, r.digest, r.logical_len)?;
-                out.get_mut(off..off + n)?.copy_from_slice(&chunk);
-            }
-        }
-        // Every chunk re-verifies its content address regardless of how
-        // it resolved — a stale or colliding base reference fails here.
-        if chunk_digest(out.get(off..off + n)?) != r.digest {
+    let mut read = |slot: u32, off: u64, buf: &mut [u8]| {
+        let at = view.slot_payload_offset(slot) + off;
+        device.read_durable_at(at, buf).is_ok()
+    };
+    let (mut scratch, mut buf) = (Vec::new(), Vec::new());
+    for r in &reads {
+        if !r.resolve(&mut read, &mut scratch, &mut buf) {
             return None;
         }
-        off += n;
+        for &at in &r.targets {
+            let at = usize::try_from(at).ok()?;
+            out.get_mut(at..at + buf.len())?.copy_from_slice(&buf);
+        }
     }
-    let ok = StateDigest::of_payload(&out, meta.iteration).0 == table.full_digest
-        || pccheck_raw_checksum(&out) == table.full_digest;
-    ok.then_some((out, table.full_digest))
-}
-
-/// Resolves one base-dedup reference from the base checkpoint's raw slot
-/// payload: the materialized record of the framed base matching the
-/// reference's content address. Dedup indexes only framed commits, so a
-/// base that is not framed never answers.
-fn base_chunk(base: &CheckMeta, payload: &[u8], digest: u64, len: u64) -> Option<Vec<u8>> {
-    if !is_framed_payload(payload) {
-        return None;
-    }
-    let table = FrameTable::decode(payload)?;
-    let table_len = usize::try_from(table.encoded_len()).ok()?;
-    if pccheck_raw_checksum(payload.get(..table_len)?) != base.digest {
-        return None;
-    }
-    let packed = payload.get(table_len..)?;
-    let rec = table
-        .records
-        .iter()
-        .find(|r| r.kind.is_materialized() && r.digest == digest && r.logical_len == len)?;
-    let end = usize::try_from(rec.a.checked_add(rec.b)?).ok()?;
-    let src = packed.get(usize::try_from(rec.a).ok()?..end)?;
-    match rec.kind {
-        ChunkEncoding::Raw => Some(src.to_vec()),
-        ChunkEncoding::Lz => lz_decompress(src, usize::try_from(len).ok()?),
-        _ => None,
-    }
+    payload_digest_matches(&out, meta.iteration, meta.digest).then_some(out)
 }
 
 /// Walks and replays the recovery target's delta chain, pushing a
@@ -859,13 +733,9 @@ fn audit_delta_chain(
     let mut chain = vec![*target];
     loop {
         let head = *chain.last().expect("chain starts non-empty");
-        // A framed layer is self-contained — it ends the walk even when
-        // its commit carries a link (the link only pins its dedup base).
-        let head_framed = view
-            .read_slot_payload(device, head.slot)
-            .map(|p| is_framed_payload(&p))
-            .unwrap_or(false);
-        if head_framed {
+        // A frame is self-contained — it roots the chain even when its
+        // commit carries a link (the link only pins its dedup base).
+        if view.read_frame(device, &head).is_some() {
             break;
         }
         let Some(link) = head.delta else { break };
@@ -907,73 +777,32 @@ fn audit_delta_chain(
 }
 
 /// Replays a delta chain (newest→root order in `chain`) into the full
-/// state it represents, verifying every digest along the way. `None` on
-/// any mismatch.
+/// state it represents, verifying every digest along the way. The root
+/// must be a frame. `None` on any mismatch.
 fn replay_chain(
     device: &dyn PersistentDevice,
     view: &RawStoreView,
     chain: &[CheckMeta],
 ) -> Option<Vec<u8>> {
     let root = chain.last()?;
-    let mut state = view.read_slot_payload(device, root.slot).ok()?;
+    let mut state = resolve_frame(device, view, root)?;
     let mut full_digest = root.digest;
-    if is_framed_payload(&state) {
-        // Framed root: materialize it the way recovery would (the frame
-        // verifies its own table, chunks, and end-to-end digest, which
-        // becomes the chain's running full-state digest).
-        let (replayed, frame_digest) = replay_frame(device, view, root, &state)?;
-        state = replayed;
-        full_digest = frame_digest;
-    } else if root.is_delta() {
-        return None; // the cycle guard bailed before reaching a full root
-    } else {
-        let root_ok = StateDigest::of_payload(&state, root.iteration).0 == root.digest
-            || pccheck_raw_checksum(&state) == root.digest;
-        if !root_ok {
-            return None;
-        }
-    }
     let mut final_iter = root.iteration;
     for delta in chain.iter().rev().skip(1) {
         let payload = view.read_slot_payload(device, delta.slot).ok()?;
-        let table = ExtentTable::decode(&payload).ok()?;
-        let table_len = usize::try_from(table.encoded_len()).ok()?;
-        if pccheck_raw_checksum(payload.get(..table_len)?) != delta.digest {
-            return None;
-        }
-        if table.full_len != state.len() as u64 {
-            return None;
-        }
-        let mut src = table_len;
-        for rec in &table.extents {
-            let src_end = src.checked_add(rec.len as usize)?;
-            let chunk = payload.get(src..src_end)?;
-            if fnv1a(chunk) != rec.digest {
-                return None;
-            }
-            let dst_start = usize::try_from(rec.offset).ok()?;
-            let dst = state.get_mut(dst_start..dst_start.checked_add(rec.len as usize)?)?;
-            dst.copy_from_slice(chunk);
-            src = src_end;
-        }
+        let table = ExtentTable::decode_bound(&payload, delta.digest)?;
+        table.apply(&payload, &mut state)?;
         full_digest = table.full_digest;
         final_iter = delta.iteration;
     }
-    let ok = StateDigest::of_payload(&state, final_iter).0 == full_digest
-        || pccheck_raw_checksum(&state) == full_digest;
-    ok.then_some(state)
-}
-
-/// FNV-1a over raw payload bytes — the same checksum `pccheck::meta` uses
-/// for opaque (non-training-state) payload digests.
-fn pccheck_raw_checksum(data: &[u8]) -> u64 {
-    pccheck_util::fnv::fnv1a(data)
+    payload_digest_matches(&state, final_iter, full_digest).then_some(state)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pccheck::{CheckpointStore, CommitOutcome};
+    use pccheck_device::fnv1a;
     use pccheck_device::{DeviceConfig, SsdDevice};
     use pccheck_telemetry::FlightEventKind as K;
     use pccheck_util::ByteSize;
@@ -990,9 +819,9 @@ mod tests {
 
     fn commit_one(st: &CheckpointStore, iter: u64, payload: &[u8]) {
         let lease = st.begin_checkpoint(None).unwrap();
-        st.write_payload(&lease, 0, payload).unwrap();
-        st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
-        let digest = pccheck_raw_checksum(payload);
+        let written = st.write_whole_frame(&lease, payload).unwrap();
+        st.persist_payload(&lease, 0, written).unwrap();
+        let digest = fnv1a(payload);
         assert_eq!(
             st.commit(lease, iter, payload.len() as u64, digest)
                 .unwrap(),
@@ -1018,7 +847,7 @@ mod tests {
             .collect();
         let table = ExtentTable {
             full_len: full.len() as u64,
-            full_digest: pccheck_raw_checksum(full),
+            full_digest: fnv1a(full),
             extents,
         };
         let table_bytes = table.encode();
@@ -1039,7 +868,7 @@ mod tests {
                 lease,
                 iter,
                 payload.len() as u64,
-                pccheck_raw_checksum(&table_bytes),
+                fnv1a(&table_bytes),
                 Some(link),
             )
             .unwrap(),
@@ -1052,11 +881,15 @@ mod tests {
         let (dev, st) = flight_store(3, 16);
         commit_one(&st, 1, b"one");
         drop(st);
-        // The previous layout's magic, "PCcheCk1".
-        dev.write_at(0, &0x5043_6368_6543_6B31u64.to_le_bytes())
-            .unwrap();
-        dev.persist(0, 8).unwrap();
-        assert!(matches!(audit(dev), Err(PccheckError::InvalidConfig(_))));
+        // The earlier layouts' magics, "PCcheCk1" and "PCcheCk2".
+        for old in [0x5043_6368_6543_6B31u64, 0x5043_6368_6543_6B32] {
+            dev.write_at(0, &old.to_le_bytes()).unwrap();
+            dev.persist(0, 8).unwrap();
+            assert!(matches!(
+                audit(Arc::clone(&dev)),
+                Err(PccheckError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]
@@ -1110,7 +943,7 @@ mod tests {
         let lease = st.begin_checkpoint(None).unwrap();
         let table = ExtentTable {
             full_len: 64,
-            full_digest: pccheck_raw_checksum(&full),
+            full_digest: fnv1a(&full),
             extents: vec![],
         };
         let bytes = table.encode();
@@ -1121,7 +954,7 @@ mod tests {
             lease,
             2,
             bytes.len() as u64,
-            pccheck_raw_checksum(&bytes),
+            fnv1a(&bytes),
             Some(pccheck::DeltaLink {
                 base_counter: base.counter,
                 base_slot: wrong_slot,
@@ -1325,8 +1158,8 @@ mod tests {
         let lease_a = st.begin_checkpoint(None).unwrap();
         let lease_b = st.begin_checkpoint(None).unwrap();
         for (lease, payload) in [(&lease_a, b"aa"), (&lease_b, b"bb")] {
-            st.write_payload(lease, 0, payload).unwrap();
-            st.persist_payload(lease, 0, 2).unwrap();
+            let written = st.write_whole_frame(lease, payload).unwrap();
+            st.persist_payload(lease, 0, written).unwrap();
         }
         let (ca, sa) = (lease_a.counter, lease_a.slot);
         let (cb, sb) = (lease_b.counter, lease_b.slot);
@@ -1338,7 +1171,7 @@ mod tests {
                 slot: lease.slot,
                 iteration: iter,
                 payload_len: 2,
-                digest: pccheck_raw_checksum(if iter == 1 { b"aa" } else { b"bb" }),
+                digest: fnv1a(if iter == 1 { b"aa" } else { b"bb" }),
                 delta: None,
             };
             let off = st.slot_meta_offset(lease.slot);
@@ -1451,9 +1284,9 @@ mod tests {
 
     fn commit_job(st: &CheckpointStore, job: u64, iter: u64, payload: &[u8]) {
         let lease = st.begin_checkpoint(Some(job)).unwrap();
-        st.write_payload(&lease, 0, payload).unwrap();
-        st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
-        let digest = pccheck_raw_checksum(payload);
+        let written = st.write_whole_frame(&lease, payload).unwrap();
+        st.persist_payload(&lease, 0, written).unwrap();
+        let digest = fnv1a(payload);
         assert_eq!(
             st.commit(lease, iter, payload.len() as u64, digest)
                 .unwrap(),
@@ -1473,10 +1306,9 @@ mod tests {
         // Lease job 1 first (lower counter), commit it after job 2.
         let lease1 = st.begin_checkpoint(Some(1)).unwrap();
         commit_job(&st, 2, 7, b"job2-a");
-        st.write_payload(&lease1, 0, b"job1-a").unwrap();
-        st.persist_payload(&lease1, 0, 6).unwrap();
-        st.commit(lease1, 3, 6, pccheck_raw_checksum(b"job1-a"))
-            .unwrap();
+        let written = st.write_whole_frame(&lease1, b"job1-a").unwrap();
+        st.persist_payload(&lease1, 0, written).unwrap();
+        st.commit(lease1, 3, 6, fnv1a(b"job1-a")).unwrap();
         commit_job(&st, 2, 8, b"job2-b");
         commit_job(&st, 1, 4, b"job1-b");
         dev.crash_now();
@@ -1533,13 +1365,14 @@ mod tests {
             .any(|v| matches!(v, InvariantViolation::RecoveredNotNewest { .. })));
     }
 
-    #[test]
-    fn framed_codec_store_audits_clean() {
+    /// Runs `iters` checkpoints of a compressible 4 KiB state through a
+    /// codec-on engine (with a flight ring) and returns its device.
+    fn codec_engine_store(seed: u64, iters: u64) -> Arc<dyn PersistentDevice> {
         use pccheck::{PcCheckConfig, PcCheckEngine};
         use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
         let gpu = Gpu::new(
             GpuConfig::fast_for_tests(),
-            TrainingState::compressible(ByteSize::from_kb(4), 7, 32),
+            TrainingState::compressible(ByteSize::from_kb(4), seed, 32),
         );
         let dev: Arc<dyn PersistentDevice> = Arc::new(SsdDevice::new(
             DeviceConfig::fast_for_tests(ByteSize::from_mb_u64(1)),
@@ -1554,50 +1387,35 @@ mod tests {
             .build()
             .unwrap();
         let engine = PcCheckEngine::new(config, Arc::clone(&dev), gpu.state_size()).unwrap();
-        for iter in 1..=6 {
+        for iter in 1..=iters {
             gpu.update();
             engine.checkpoint(&gpu, iter);
             engine.drain();
         }
-        // The audit only proves something if the codec actually framed.
+        dev
+    }
+
+    #[test]
+    fn framed_codec_store_audits_clean() {
+        let dev = codec_engine_store(7, 6);
+        // The audit only proves something if the codec actually chose
+        // record kinds.
         let view = RawStoreView::load(dev.as_ref()).unwrap();
-        let framed = (0..view.slots)
-            .filter(|&s| view.slot_meta[s as usize].is_some())
-            .filter(|&s| {
-                view.read_slot_payload(dev.as_ref(), s)
-                    .is_ok_and(|p| is_framed_payload(&p))
-            })
+        let coded = view
+            .slot_meta
+            .iter()
+            .flatten()
+            .filter_map(|m| view.read_frame(dev.as_ref(), m))
+            .filter(|t| !t.is_raw())
             .count();
-        assert!(framed > 0, "no slot framed — codec never engaged");
+        assert!(coded > 0, "no frame the codec touched");
         let report = audit(Arc::clone(&dev)).unwrap();
         assert!(report.is_clean(), "{:?}", report.violations);
     }
 
     #[test]
     fn torn_framed_recovery_head_is_flagged() {
-        use pccheck::{PcCheckConfig, PcCheckEngine};
-        use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
-        let gpu = Gpu::new(
-            GpuConfig::fast_for_tests(),
-            TrainingState::compressible(ByteSize::from_kb(4), 11, 32),
-        );
-        let dev: Arc<dyn PersistentDevice> = Arc::new(SsdDevice::new(
-            DeviceConfig::fast_for_tests(ByteSize::from_mb_u64(1)),
-        ));
-        let config = PcCheckConfig::builder()
-            .max_concurrent(2)
-            .writer_threads(2)
-            .chunk_size(ByteSize::from_bytes(256))
-            .dram_chunks(16)
-            .codec(true)
-            .build()
-            .unwrap();
-        let engine = PcCheckEngine::new(config, Arc::clone(&dev), gpu.state_size()).unwrap();
-        for iter in 1..=4 {
-            gpu.update();
-            engine.checkpoint(&gpu, iter);
-            engine.drain();
-        }
+        let dev = codec_engine_store(11, 4);
         let view = RawStoreView::load(dev.as_ref()).unwrap();
         let head = view
             .slot_meta
@@ -1606,14 +1424,15 @@ mod tests {
             .max_by_key(|m| m.counter)
             .copied()
             .unwrap();
-        let payload = view.read_slot_payload(dev.as_ref(), head.slot).unwrap();
-        assert!(is_framed_payload(&payload), "newest slot should be framed");
-        // Corrupt one byte of the packed chunk region (past the table, so
-        // the shallow table check still passes): only the deep frame
-        // replay catches it.
-        let table = FrameTable::decode(&payload).unwrap();
-        let corrupt_at = table.encoded_len();
-        let slot_off = view.slot_payload_offset(head.slot) + corrupt_at;
+        let table = view.read_frame(dev.as_ref(), &head).unwrap();
+        // Corrupt one byte of a stored record (the table stays intact):
+        // its content address no longer verifies.
+        let record = table
+            .records
+            .iter()
+            .find(|r| r.kind.is_materialized())
+            .expect("the newest frame stores a record");
+        let slot_off = view.slot_payload_offset(head.slot) + record.a;
         let mut byte = [0u8; 1];
         dev.read_durable_at(slot_off, &mut byte).unwrap();
         byte[0] ^= 0xFF;

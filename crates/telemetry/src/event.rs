@@ -60,8 +60,8 @@ pub enum Phase {
     DeltaReplay,
     /// Parallel restore: one reader's device→DRAM chunk fetch leg.
     RestoreRead,
-    /// Parallel restore: per-chunk (or legacy whole-payload) digest
-    /// verification, overlapped with the reads.
+    /// Parallel restore: per-record content-address verification,
+    /// overlapped with the reads.
     RestoreVerify,
     /// Parallel restore: streaming verified chunks into GPU memory.
     RestoreUpload,

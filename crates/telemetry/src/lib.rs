@@ -52,6 +52,8 @@
 //!   regression analytics.
 //! * [`registry`] — [`MetricsRegistry`], [`MetricsServer`]: live
 //!   Prometheus/JSON exposition over the shared recorder.
+//! * [`http`] — [`HttpServer`], [`http_get`]: the one hand-rolled HTTP
+//!   listener (and client) every served endpoint uses.
 //! * [`watchdog`] — [`SloWatchdog`]: rolling-window SLO evaluation with
 //!   black-box capture on violation.
 //!
@@ -81,6 +83,7 @@ pub mod event;
 pub mod export;
 pub mod flight;
 pub mod histogram;
+pub mod http;
 pub mod profile;
 pub mod recorder;
 pub mod registry;
@@ -95,6 +98,7 @@ pub use flight::{
     FLIGHT_RECORD_SIZE,
 };
 pub use histogram::{HistogramSummary, LatencyHistogram};
+pub use http::{http_get, HttpServer};
 pub use profile::{
     build_ledgers, chrome_trace_annotated, critical_trace_entries, diff_profiles, render_diff,
     render_profile, ActorProfile, CommitLedger, DiffMode, DiffThresholds, LedgerNode, NodeKind,
@@ -103,9 +107,7 @@ pub use profile::{
 pub use recorder::{
     MemoryRecorder, Telemetry, TelemetryIoObserver, TelemetrySnapshot, MAX_TRACKED_DEVICES,
 };
-pub use registry::{
-    http_get, validate_prometheus_text, MetricsRegistry, MetricsServer, METRICS_SCHEMA,
-};
+pub use registry::{validate_prometheus_text, MetricsRegistry, MetricsServer, METRICS_SCHEMA};
 pub use watchdog::{
     SloConfig, SloRule, SloViolation, SloWatchdog, WatchdogHandle, BLACKBOX_SCHEMA,
 };

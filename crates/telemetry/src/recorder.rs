@@ -259,7 +259,7 @@ pub struct TelemetrySnapshot {
     /// Chunks persisted as dedup references (within or across
     /// checkpoints) instead of materialized bytes.
     pub dedup_chunks: u64,
-    /// Last framed commit's physical/logical payload ratio in permille
+    /// Last codec frame's physical/logical payload ratio in permille
     /// (1000 = stored at full size, lower = smaller).
     pub compression_ratio_permille: u64,
     /// Nanoseconds since the recorder's epoch.
@@ -625,8 +625,8 @@ impl Telemetry {
         }
     }
 
-    /// Updates the framed-commit compression-ratio gauge
-    /// (physical payload bytes / logical bytes, in permille).
+    /// Updates the codec-frame compression-ratio gauge
+    /// (packed records + table / logical bytes, in permille).
     pub fn gauge_compression_ratio(&self, permille: u64) {
         if let Some(r) = &self.inner {
             r.compression_ratio_permille.set(permille);

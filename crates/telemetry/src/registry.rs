@@ -20,16 +20,14 @@
 //! [`json`]: MetricsRegistry::json
 
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
 
 use pccheck_util::sync::Mutex;
 
 use crate::event::Phase;
 use crate::histogram::LatencyHistogram;
+use crate::http::HttpServer;
 use crate::recorder::{Telemetry, TelemetrySnapshot};
 
 /// Schema identifier stamped into the JSON exposition so downstream
@@ -605,72 +603,11 @@ impl MetricsRegistry {
     }
 }
 
-/// A minimal metrics HTTP endpoint over [`std::net::TcpListener`].
-///
-/// Routes: `GET /metrics` (Prometheus text), `GET /metrics.json` (the
-/// registry's JSON document); everything else is 404. One accept loop on
-/// a background thread, one request per connection — deliberately tiny,
-/// for scrapes and `curl`, not for load.
+/// The metrics endpoint: `GET /metrics` (Prometheus text) and
+/// `GET /metrics.json` (the registry's JSON document) over the shared
+/// [`HttpServer`]; everything else is 404.
 #[derive(Debug)]
-pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-fn http_response(status: &str, content_type: &str, body: &str) -> String {
-    format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-}
-
-fn serve_one(stream: TcpStream, registry: &MetricsRegistry) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
-        return;
-    }
-    // Drain headers so well-behaved clients see a clean close.
-    loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line == "\r\n" || line == "\n" => break,
-            Ok(_) => {}
-            Err(_) => break,
-        }
-    }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let response = if method != "GET" {
-        http_response("405 Method Not Allowed", "text/plain", "GET only\n")
-    } else {
-        match path {
-            "/metrics" => http_response(
-                "200 OK",
-                "text/plain; version=0.0.4",
-                &registry.prometheus_text(),
-            ),
-            "/metrics.json" => http_response("200 OK", "application/json", &registry.json()),
-            _ => http_response("404 Not Found", "text/plain", "try /metrics\n"),
-        }
-    };
-    let mut stream = reader.into_inner();
-    let _ = stream.write_all(response.as_bytes());
-    let _ = stream.flush();
-    // Half-close and wait (bounded by the read timeout) for the client's
-    // EOF so the *client* closes first and TIME_WAIT lands on its side.
-    // Otherwise a daemon restart can hit EADDRINUSE: the kernel refuses
-    // to rebind a listening port while a server-side TIME_WAIT socket
-    // from the previous incarnation still holds it.
-    let _ = stream.shutdown(Shutdown::Write);
-    let mut sink = [0u8; 256];
-    while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
-}
+pub struct MetricsServer(HttpServer);
 
 impl MetricsServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
@@ -680,110 +617,31 @@ impl MetricsServer {
     ///
     /// Returns the bind/listen error as a string.
     pub fn bind(addr: &str, registry: MetricsRegistry) -> Result<Self, String> {
-        let listener = TcpListener::bind(addr).map_err(|e| e.to_string())?;
-        let local = listener.local_addr().map_err(|e| e.to_string())?;
-        listener.set_nonblocking(true).map_err(|e| e.to_string())?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            while !stop_flag.load(Ordering::Acquire) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let _ = stream.set_nonblocking(false);
-                        serve_one(stream, &registry);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        Ok(MetricsServer {
-            addr: local,
-            stop,
-            handle: Some(handle),
+        HttpServer::bind(addr, move |target| match target {
+            "/metrics" => (
+                "200 OK".into(),
+                "text/plain; version=0.0.4",
+                registry.prometheus_text(),
+            ),
+            "/metrics.json" => ("200 OK".into(), "application/json", registry.json()),
+            _ => (
+                "404 Not Found".into(),
+                "text/plain",
+                "try /metrics\n".into(),
+            ),
         })
+        .map(MetricsServer)
     }
 
     /// The bound address (resolves port 0 to the real ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr()
     }
 
     /// Stops the accept loop and joins the thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
+    pub fn shutdown(self) {
+        self.0.shutdown();
     }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-/// Fetches `path` from a running [`MetricsServer`] over a plain TCP GET —
-/// the client half of the endpoint, used by `pccheckctl top` in remote
-/// mode and the smoke tests.
-///
-/// # Errors
-///
-/// Returns connect/read errors as strings; the response must be an HTTP
-/// 200 or the status line is returned as the error.
-pub fn http_get(addr: SocketAddr, path: &str) -> Result<String, String> {
-    let mut stream =
-        TcpStream::connect_timeout(&addr, Duration::from_secs(2)).map_err(|e| e.to_string())?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    stream
-        .write_all(
-            format!("GET {path} HTTP/1.1\r\nHost: pccheck\r\nConnection: close\r\n\r\n").as_bytes(),
-        )
-        .map_err(|e| e.to_string())?;
-    // Read headers line-by-line, then exactly `Content-Length` body bytes,
-    // and close promptly — the server half-closes after responding and
-    // waits for our FIN, so the client must not linger until timeout.
-    let mut reader = BufReader::new(stream);
-    let mut head = String::new();
-    loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line).map_err(|e| e.to_string())?;
-        if n == 0 || line == "\r\n" || line == "\n" {
-            break;
-        }
-        head.push_str(&line);
-    }
-    let status = head.lines().next().unwrap_or("").to_string();
-    if !status.contains("200") {
-        return Err(format!("unexpected status: {status}"));
-    }
-    let content_length = head.lines().find_map(|l| {
-        let (k, v) = l.split_once(':')?;
-        k.eq_ignore_ascii_case("content-length")
-            .then(|| v.trim().parse::<usize>().ok())?
-    });
-    let body = match content_length {
-        Some(len) => {
-            let mut buf = vec![0u8; len];
-            reader.read_exact(&mut buf).map_err(|e| e.to_string())?;
-            String::from_utf8(buf).map_err(|e| e.to_string())?
-        }
-        None => {
-            let mut rest = String::new();
-            reader
-                .read_to_string(&mut rest)
-                .map_err(|e| e.to_string())?;
-            rest
-        }
-    };
-    Ok(body)
 }
 
 /// Validates one `{...}` label body: comma-separated `name="value"`
@@ -890,6 +748,7 @@ pub fn validate_prometheus_text(text: &str) -> Result<usize, String> {
 mod tests {
     use super::*;
     use crate::event::SpanId;
+    use crate::http::http_get;
 
     fn active_registry() -> MetricsRegistry {
         let t = Telemetry::enabled();

@@ -6,15 +6,16 @@
 //!   whole-payload checksum convention — checkpoint metadata CRCs, extent
 //!   tables, and flight-record framing all fold with the same constants so
 //!   a digest computed on the persist path verifies on the recovery path.
-//! - [`chunk_digest`]: word-folding FNV-style mix, ~8× faster than the
-//!   byte-serial form. Used wherever digest throughput bounds a hot loop:
-//!   per-chunk restore verification (CDT1 tables) and the persist-path
-//!   codec's content addresses. Only ever compared against digests
-//!   produced by the same function.
+//! - [`chunk_digest`] / [`ChunkDigester`]: word-folding FNV-style mix,
+//!   ~8× faster than the byte-serial form. Used wherever digest
+//!   throughput bounds a hot loop: the content address every frame
+//!   record carries, computed on the persist path and re-checked per
+//!   record on restore. Only ever compared against digests produced by
+//!   the same function.
 //!
 //! Every earlier crate carried its own copy of these loops; they are
 //! hoisted here so the codec's content-addressed dedup index and the
-//! digest tables are guaranteed to agree byte for byte.
+//! restore-side record checks are guaranteed to agree byte for byte.
 
 /// FNV-1a seed, shared with the checkpoint metadata checksum.
 pub const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
@@ -39,23 +40,72 @@ pub fn fnv1a(data: &[u8]) -> u64 {
 /// Fast per-chunk digest: FNV-style mix folding eight bytes per multiply
 /// instead of one.
 ///
-/// Restore verifies one digest per in-flight chunk *on the read path*, so
-/// digest throughput bounds how much verification can overlap I/O —
+/// Restore verifies one digest per in-flight record *on the read path*,
+/// so digest throughput bounds how much verification can overlap I/O —
 /// byte-serial FNV-1a (~hundreds of MB/s) would make a multi-reader
 /// restore CPU-bound on small hosts. This variant is ~8× faster and only
-/// ever compared against digests produced by the same function (CDT1
-/// digest tables, chunk-frame content addresses), so it needs no
-/// compatibility with the whole-payload FNV-1a disciplines. The length is
-/// mixed into the seed so a chunk and its zero-padded extension digest
-/// differently.
+/// ever compared against digests produced by the same function (frame
+/// record content addresses), so it needs no compatibility with the
+/// whole-payload FNV-1a disciplines. The length is mixed into the seed so
+/// a chunk and its zero-padded extension digest differently.
 pub fn chunk_digest(data: &[u8]) -> u64 {
-    let mut h = FNV_SEED ^ (data.len() as u64);
-    let words = data.len() / 8;
-    for w in data[..words * 8].chunks_exact(8) {
-        h ^= u64::from_le_bytes(w.try_into().expect("8-byte window"));
-        h = h.wrapping_mul(FNV_PRIME);
+    let mut d = ChunkDigester::new(data.len() as u64);
+    d.update(data);
+    d.finish()
+}
+
+/// [`chunk_digest`] over bytes that arrive in pieces: feeding a chunk's
+/// bytes in any split yields the digest of the whole chunk. The chunk's
+/// total length must be known up front (it seeds the mix).
+#[derive(Debug, Clone)]
+pub struct ChunkDigester {
+    h: u64,
+    tail: [u8; 8],
+    tail_len: usize,
+}
+
+impl ChunkDigester {
+    /// Starts the digest of a `len`-byte chunk.
+    pub fn new(len: u64) -> Self {
+        ChunkDigester {
+            h: FNV_SEED ^ len,
+            tail: [0; 8],
+            tail_len: 0,
+        }
     }
-    fnv1a_fold(h, &data[words * 8..])
+
+    /// Folds the next `data` bytes of the chunk.
+    pub fn update(&mut self, mut data: &[u8]) {
+        if self.tail_len > 0 {
+            let take = (8 - self.tail_len).min(data.len());
+            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&data[..take]);
+            self.tail_len += take;
+            data = &data[take..];
+            if self.tail_len < 8 {
+                return;
+            }
+            self.fold_word(self.tail);
+            self.tail_len = 0;
+        }
+        let words = data.len() / 8;
+        for w in data[..words * 8].chunks_exact(8) {
+            self.fold_word(w.try_into().expect("8-byte window"));
+        }
+        let rest = &data[words * 8..];
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
+    }
+
+    fn fold_word(&mut self, w: [u8; 8]) {
+        self.h ^= u64::from_le_bytes(w);
+        self.h = self.h.wrapping_mul(FNV_PRIME);
+    }
+
+    /// The digest of every byte fed so far (byte-serial over a trailing
+    /// partial word).
+    pub fn finish(self) -> u64 {
+        fnv1a_fold(self.h, &self.tail[..self.tail_len])
+    }
 }
 
 #[cfg(test)]
@@ -84,6 +134,23 @@ mod tests {
         let d0 = chunk_digest(&a);
         a[12] ^= 1;
         assert_ne!(chunk_digest(&a), d0);
+    }
+
+    #[test]
+    fn digester_matches_chunk_digest_under_any_split() {
+        crate::prop::check("digester_matches_chunk_digest_under_any_split", 256, |g| {
+            let data = g.bytes(0..300);
+            let mut cuts = g.vec(0..6, |g| g.range(0..data.len() + 1));
+            cuts.sort_unstable();
+            let mut d = ChunkDigester::new(data.len() as u64);
+            let mut at = 0;
+            for cut in cuts {
+                d.update(&data[at..cut]);
+                at = cut;
+            }
+            d.update(&data[at..]);
+            assert_eq!(d.finish(), chunk_digest(&data));
+        });
     }
 
     #[test]

@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use pccheck::{
-    recover, CheckpointStore, DeltaPolicy, FramedOutcome, PcCheckConfig, PcCheckEngine,
-    PersistPipeline, PipelineCtx,
+    recover, CheckpointStore, DeltaPolicy, PcCheckConfig, PcCheckEngine, PersistPipeline,
+    PipelineCtx,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, HostSnapshot, StateDigest, TrainingState};
@@ -55,10 +55,10 @@ fn fresh_store(slots: u32) -> (Arc<dyn PersistentDevice>, Arc<CheckpointStore>) 
     (device, store)
 }
 
-/// Replays `states` through one arm; the codec arm frames every commit
-/// through the pipeline, the raw arm commits the full payloads through
-/// the store. Returns (device, framed checkpoints, physical payload
-/// bytes persisted).
+/// Replays `states` through one arm; the codec arm commits every state
+/// through the pipeline's codec, the raw arm commits the full payloads
+/// through the store. Returns (device, checkpoints the codec shrank,
+/// physical bytes persisted: records plus frame tables).
 fn replay(states: &[Vec<u8>], codec: bool) -> (Arc<dyn PersistentDevice>, u64, u64) {
     let (device, store) = fresh_store(4);
     let mut framed = 0u64;
@@ -86,18 +86,15 @@ fn replay(states: &[Vec<u8>], codec: bool) -> (Arc<dyn PersistentDevice>, u64, u
             let (_, outcome) = pipeline
                 .checkpoint_framed(ctx, &src, iteration, digest, POLICY)
                 .expect("checkpoint commits");
-            match outcome {
-                FramedOutcome::Framed { payload_len, .. } => {
-                    framed += 1;
-                    physical += payload_len;
-                }
-                FramedOutcome::Raw => physical += STATE,
-            }
+            framed += u64::from(outcome.saved_bytes > 0);
+            physical += outcome.persisted_len();
         }
     } else {
         for (i, data) in states.iter().enumerate() {
             commit_checkpoint(&store, i as u64 + 1, data).expect("raw checkpoint commits");
-            physical += STATE;
+            let meta = store.latest_committed().expect("just committed");
+            let table = store.read_frame(&meta).expect("an all-Raw frame");
+            physical += STATE + table.encoded_len();
         }
     }
     (device, framed, physical)
@@ -162,10 +159,7 @@ fn delta_over_framed_root_matches_raw_replay() {
         let (_, outcome) = pipeline
             .checkpoint_framed(ctx, &src, 10, digest, POLICY)
             .expect("framed baseline commits");
-        assert!(
-            matches!(outcome, FramedOutcome::Framed { .. }),
-            "tiled baseline must frame"
-        );
+        assert!(outcome.saved_bytes > 0, "tiled baseline must shrink");
         commit_delta_checkpoint(&framed_store, 50, &full_mid, &ranges)
             .expect("delta over framed root commits");
     }

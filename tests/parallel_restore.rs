@@ -1,6 +1,6 @@
 //! Cross-validation of the parallel restore pipeline: recovering the same
 //! device with four readers and with one reader must produce bit-identical
-//! checkpoints — for plain full checkpoints (digest-table path) and for
+//! checkpoints — for plain full checkpoints (per-record reads) and for
 //! base + delta chains (parallel layer fetch + extent replay).
 
 use std::sync::Arc;
@@ -32,20 +32,8 @@ fn pipeline_for(store: &Arc<CheckpointStore>) -> PersistPipeline {
         .with_staging(HostBufferPool::new(ByteSize::from_bytes(512), 8))
 }
 
-fn sequential() -> RestoreOptions {
-    RestoreOptions {
-        readers: 1,
-        probe: 1,
-        job: None,
-    }
-}
-
-fn parallel() -> RestoreOptions {
-    RestoreOptions {
-        readers: 4,
-        probe: 2,
-        job: None,
-    }
+fn with_readers(readers: usize) -> RestoreOptions {
+    RestoreOptions { readers, job: None }
 }
 
 #[test]
@@ -84,9 +72,9 @@ fn parallel_and_sequential_recovery_agree_on_full_checkpoints() {
 
     let dev: Arc<dyn PersistentDevice> = ssd.clone();
     let (par, par_trace) =
-        recover_instrumented_with(Arc::clone(&dev), &telemetry, parallel()).expect("parallel");
+        recover_instrumented_with(Arc::clone(&dev), &telemetry, with_readers(4)).expect("parallel");
     let (seq, seq_trace) =
-        recover_instrumented_with(dev, &telemetry, sequential()).expect("sequential");
+        recover_instrumented_with(dev, &telemetry, with_readers(1)).expect("sequential");
 
     assert_eq!(par.iteration, 3);
     assert_eq!(par.iteration, seq.iteration);
@@ -142,9 +130,9 @@ fn parallel_and_sequential_recovery_agree_on_delta_chains() {
 
     let dev: Arc<dyn PersistentDevice> = ssd.clone();
     let (par, par_trace) =
-        recover_instrumented_with(Arc::clone(&dev), &telemetry, parallel()).expect("parallel");
+        recover_instrumented_with(Arc::clone(&dev), &telemetry, with_readers(4)).expect("parallel");
     let (seq, seq_trace) =
-        recover_instrumented_with(dev, &telemetry, sequential()).expect("sequential");
+        recover_instrumented_with(dev, &telemetry, with_readers(1)).expect("sequential");
 
     assert_eq!(par.iteration, 4);
     assert!(par_trace.chain_links >= 1, "head must be a delta");
