@@ -36,14 +36,22 @@
 //! - [`ChunkEncoding::DedupSelf`] — byte-identical to an *earlier*
 //!   materialized chunk of this same frame; stores only its index.
 //! - [`ChunkEncoding::DedupBase`] — byte-identical to a materialized chunk
-//!   of the base checkpoint named by the commit's [`DeltaLink`](crate::DeltaLink); the link
-//!   pins the base exactly like a delta chain does, so the referenced
-//!   bytes cannot be recycled while this checkpoint is live.
+//!   of an earlier checkpoint on the chain of the commit's
+//!   [`DeltaLink`](crate::DeltaLink); the store pins every slot on that
+//!   chain, so the referenced bytes cannot be recycled while this
+//!   checkpoint is live.
 //!
 //! A checkpoint persisted without the codec is an all-`Raw` frame whose
 //! records sit at their logical offsets ([`RawFrame`]), so its packed
 //! region *is* the state image. The codec only chooses record kinds; it
 //! never changes the format.
+//!
+//! An incremental checkpoint is a frame too ([`plan_delta`]): the base's
+//! untouched records are forwarded as `DedupBase` references to wherever
+//! their bytes already live, and the records the dirty extents touch are
+//! split at the extent boundaries and materialized. Every reference still
+//! lands on a materialized record, in a checkpoint on the commit's
+//! `DeltaLink` chain, which pins every slot on it.
 //!
 //! Every record carries the [`chunk_digest`] content address of its
 //! logical bytes: restore verifies each record as it materializes, so a
@@ -106,9 +114,9 @@ const RECORD_GRAIN: u64 = 4096;
 /// record per chunk.
 const MIN_FRAME_RECORDS: usize = 64;
 
-/// Record granularity of frames written from one whole buffer (the
-/// store-level [`CheckpointStore::write_whole_frame`](crate::CheckpointStore::write_whole_frame)
-/// and the whole-buffer baselines).
+/// Record granularity of the frames the whole-buffer baselines write, and
+/// the piece size of a whole-buffer delta
+/// ([`CheckpointStore::write_delta_frame`](crate::CheckpointStore::write_delta_frame)).
 pub const WHOLE_RECORD: u64 = 1 << 20;
 
 /// Shortest match the LZ coder emits.
@@ -149,8 +157,8 @@ pub enum ChunkEncoding {
     Lz = 1,
     /// Byte-identical to an earlier materialized chunk of this frame.
     DedupSelf = 2,
-    /// Byte-identical to a materialized chunk of the base checkpoint
-    /// named by the commit's `DeltaLink`.
+    /// Byte-identical to a materialized chunk of an earlier checkpoint
+    /// on the commit's `DeltaLink` chain.
     DedupBase = 3,
 }
 
@@ -226,8 +234,8 @@ impl FrameRecord {
         }
     }
 
-    /// A chunk that repeats the base checkpoint's materialized record
-    /// `hit` names.
+    /// A chunk that repeats the materialized record of an earlier
+    /// checkpoint that `hit` names.
     pub fn dedup_base(hit: DedupHit, logical_len: u64, digest: u64) -> Self {
         FrameRecord {
             kind: ChunkEncoding::DedupBase,
@@ -272,8 +280,8 @@ impl FrameTable {
             .unwrap_or(0)
     }
 
-    /// Whether any record references the base checkpoint (the commit must
-    /// then carry a `DeltaLink` pinning it).
+    /// Whether any record references an earlier checkpoint (the commit
+    /// must then carry a `DeltaLink` whose chain pins it).
     pub fn references_base(&self) -> bool {
         self.records
             .iter()
@@ -284,6 +292,19 @@ impl FrameTable {
     /// not touch, which per-record content addresses verify completely.
     pub fn is_raw(&self) -> bool {
         self.records.iter().all(|r| r.kind == ChunkEncoding::Raw)
+    }
+
+    /// How many distinct earlier checkpoints the records reference.
+    pub fn base_checkpoints(&self) -> usize {
+        let mut bases: Vec<(u32, u64)> = self
+            .records
+            .iter()
+            .filter(|r| r.kind == ChunkEncoding::DedupBase)
+            .map(|r| (r.aux, r.a))
+            .collect();
+        bases.sort_unstable();
+        bases.dedup();
+        bases.len()
     }
 
     /// Serializes the table: header, records, trailing FNV-1a CRC.
@@ -480,6 +501,87 @@ impl FrameTable {
     }
 }
 
+/// One record of a delta frame planned by [`plan_delta`], in logical
+/// order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeltaRecord {
+    /// An untouched base record, forwarded as a reference to the bytes it
+    /// already names.
+    Forward(FrameRecord),
+    /// This many touched bytes, to be copied from the snapshot and
+    /// materialized.
+    Copy(u64),
+}
+
+/// Plans the records of a delta frame over `base`, the bound frame of
+/// checkpoint `base_counter` in `base_slot`, for a state whose bytes
+/// changed only inside `dirty` (sorted, non-overlapping `(offset, len)`
+/// ranges).
+///
+/// A base record no dirty range touches is forwarded without re-hashing:
+/// a materialized record becomes a `DedupBase` reference to it, a
+/// `DedupBase` is copied verbatim (it already names where its bytes
+/// live), and a `DedupSelf` becomes a `DedupBase` at the base record it
+/// repeats. A touched record is split at the dirty-extent boundaries into
+/// pieces of at most `chunk` bytes, each to be copied and materialized.
+/// Every forwarded reference lands on a materialized record of equal
+/// length and digest, so [`FrameTable::reads`] resolves it in one hop.
+pub fn plan_delta(
+    base: &FrameTable,
+    base_slot: u32,
+    base_counter: u64,
+    dirty: &[(u64, u64)],
+    chunk: u64,
+) -> Vec<DeltaRecord> {
+    let chunk = chunk.max(1);
+    let offsets = base.logical_offsets();
+    let reference = |logical_off: u64, r: &FrameRecord| {
+        let hit = DedupHit {
+            counter: base_counter,
+            slot: base_slot,
+            logical_off,
+        };
+        DeltaRecord::Forward(FrameRecord::dedup_base(hit, r.logical_len, r.digest))
+    };
+    let mut out = Vec::with_capacity(base.records.len());
+    let mut next = 0usize; // first dirty range not wholly before the record
+    for (r, &start) in base.records.iter().zip(&offsets) {
+        let end = start + r.logical_len;
+        while dirty
+            .get(next)
+            .is_some_and(|&(off, len)| off + len <= start)
+        {
+            next += 1;
+        }
+        if dirty.get(next).is_none_or(|&(off, _)| off >= end) {
+            out.push(match r.kind {
+                ChunkEncoding::Raw | ChunkEncoding::Lz => reference(start, r),
+                ChunkEncoding::DedupBase => DeltaRecord::Forward(*r),
+                ChunkEncoding::DedupSelf => reference(offsets[r.aux as usize], r),
+            });
+            continue;
+        }
+        let mut cuts = vec![start];
+        cuts.extend(
+            dirty[next..]
+                .iter()
+                .take_while(|&&(off, _)| off < end)
+                .flat_map(|&(off, len)| [off, off + len])
+                .filter(|&at| start < at && at < end),
+        );
+        cuts.push(end);
+        for piece in cuts.windows(2) {
+            let mut at = piece[0];
+            while at < piece[1] {
+                let n = chunk.min(piece[1] - at);
+                out.push(DeltaRecord::Copy(n));
+                at += n;
+            }
+        }
+    }
+    out
+}
+
 /// Reads durable slot bytes for the frame resolver: `read(slot, offset,
 /// buf)` fills `buf` from `offset` bytes into `slot`'s payload area and
 /// returns `false` on a device fault.
@@ -489,9 +591,9 @@ pub type SlotRead<'a> = dyn FnMut(u32, u64, &mut [u8]) -> bool + 'a;
 /// after its packed records and binds it to the commit: `None` unless it
 /// decodes (magic, CRC, record invariants), holds at most `capacity`
 /// records, carries `meta`'s counter, and keeps every materialized record
-/// inside the `meta.payload_len` packed bytes. A slot that holds no frame
-/// (an extent delta), a torn table, or a stale table from an earlier
-/// checkpoint in the slot all read as `None`.
+/// inside the `meta.payload_len` packed bytes. A slot that holds no frame,
+/// a torn table, or a stale table from an earlier checkpoint in the slot
+/// all read as `None`.
 pub fn read_frame(
     read: &mut SlotRead<'_>,
     meta: &CheckMeta,

@@ -88,16 +88,15 @@ pub use error::PccheckError;
 pub use meta::NamespaceDesc;
 pub use meta::{CheckMeta, DeltaLink, SlotState, SLOT_STATE_SIZE};
 pub use pipeline::{
-    DeltaOutcome, DeltaPlan, DeltaPolicy, FenceMode, FrameMode, FramedPlan, PersistPipeline,
-    PipelineCtx, KERNEL_COPY_CHUNK,
+    DeltaOutcome, DeltaPolicy, FenceMode, FrameMode, FramedPlan, PersistPipeline, PipelineCtx,
+    KERNEL_COPY_CHUNK,
 };
 pub use qos::{QosArbiter, QosConfig, QosGrant};
 pub use recovery::{
     recover, recover_instrumented, RecoveredCheckpoint, RecoveryModel, RecoveryTrace, Strategy,
 };
 pub use restore::{
-    recover_instrumented_with, recover_into_gpu, LayerCache, RestoreOptions, RestorePipeline,
-    RestoreSink,
+    recover_instrumented_with, recover_into_gpu, RestoreOptions, RestorePipeline, RestoreSink,
 };
 pub use store::{CheckpointStore, CommitOutcome, JobId, RawStoreView, SlotOutcome, OWNER_JOB};
 pub use tuner::{

@@ -13,22 +13,36 @@ pub const META_RECORD_SIZE: u64 = 64;
 
 const META_MAGIC: u32 = 0x5043_4B31; // "PCK1"
 
-/// Back-pointer from a delta checkpoint to the checkpoint it patches.
+/// Back-pointer from a checkpoint whose frame references earlier
+/// checkpoints (a delta frame, or a codec frame that deduplicated against
+/// its base) to the checkpoint it was based on.
 ///
-/// A delta slot stores only the bytes that changed since its base; this
-/// link lets recovery walk from a delta back to the full checkpoint at the
-/// root of the chain. `base_counter` is never 0 (the global counter starts
-/// at 1), which is how the serialized record distinguishes delta metas
-/// from full ones.
+/// The referenced records live in the base or further down its chain; the
+/// store keeps every slot on the chain pinned while this checkpoint is
+/// the committed one, so the bytes its references name cannot be
+/// recycled. `base_counter` is never 0 (the global counter starts at 1),
+/// which is how the serialized record distinguishes linked metas from
+/// root ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaLink {
-    /// Counter of the checkpoint this delta patches.
+    /// Counter of the base checkpoint.
     pub base_counter: u64,
-    /// Slot holding the base checkpoint's payload.
+    /// Slot holding the base checkpoint.
     pub base_slot: u32,
-    /// Links between this checkpoint and the chain's full root (the root
-    /// has depth 0, the first delta 1, and so on).
+    /// Links between this checkpoint and the chain's root (the root has
+    /// depth 0, the first linked checkpoint 1, and so on).
     pub chain_depth: u32,
+}
+
+impl DeltaLink {
+    /// The link of a checkpoint based on `base`.
+    pub fn onto(base: &CheckMeta) -> DeltaLink {
+        DeltaLink {
+            base_counter: base.counter,
+            base_slot: base.slot,
+            chain_depth: base.chain_depth() + 1,
+        }
+    }
 }
 
 /// Metadata of a single checkpoint.
@@ -43,10 +57,10 @@ pub struct CheckMeta {
     pub iteration: u64,
     /// Payload length in bytes.
     pub payload_len: u64,
-    /// Digest of the captured training state (for a delta checkpoint: of
-    /// the serialized extent table at the head of the payload).
+    /// Digest of the full captured state, whatever records the slot's
+    /// frame stores it as.
     pub digest: u64,
-    /// `Some` when the payload is a delta over an earlier checkpoint.
+    /// `Some` when the frame references records of earlier checkpoints.
     pub delta: Option<DeltaLink>,
 }
 
@@ -100,9 +114,14 @@ impl CheckMeta {
         })
     }
 
-    /// Whether the payload is a delta over an earlier checkpoint.
+    /// Whether the frame references records of earlier checkpoints.
     pub fn is_delta(&self) -> bool {
         self.delta.is_some()
+    }
+
+    /// Links between this checkpoint and its chain's root (0 for a root).
+    pub fn chain_depth(&self) -> u32 {
+        self.delta.map_or(0, |l| l.chain_depth)
     }
 
     /// The state digest as the GPU crate's type.

@@ -35,19 +35,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 
-use pccheck_device::{
-    chunk_digest, fnv1a_fold, ExtentRecord, ExtentTable, HostBuffer, HostBufferPool, FNV_SEED,
-};
+use pccheck_device::{chunk_digest, HostBuffer, HostBufferPool};
 use pccheck_gpu::{merge_ranges, SnapshotSource};
 use pccheck_telemetry::{FlightEventKind, Phase, SpanId, Telemetry};
 use pccheck_util::sync::Mutex;
 use pccheck_util::ByteSize;
 
 use crate::codec::{
-    compress_gated, ChunkEncoding, DedupIndex, FrameRecord, FrameTable, RawFrame, WHOLE_RECORD,
+    self, compress_gated, ChunkEncoding, DedupIndex, DeltaRecord, FrameRecord, FrameTable,
+    RawFrame, WHOLE_RECORD,
 };
 use crate::error::PccheckError;
-use crate::meta::DeltaLink;
+use crate::meta::{CheckMeta, DeltaLink};
 use crate::qos::QosArbiter;
 use crate::store::{CheckpointStore, CommitOutcome, JobId, SlotLease};
 
@@ -59,6 +58,19 @@ enum Place {
     /// Codec record `i`: compress-gated, then packed at the next free
     /// physical offset.
     Pack(usize),
+}
+
+/// How one run of the chunk loop picks each record.
+enum Records {
+    /// Every chunk `Raw` at its logical offset (the codec off).
+    Raw,
+    /// Every chunk content-addressed: a repeat of an earlier chunk of this
+    /// frame, or of a materialized record of the base (if any), becomes a
+    /// reference; every other chunk is packed.
+    Codec(Option<CheckMeta>),
+    /// A delta plan over the base: forwarded references, and touched
+    /// pieces that are packed.
+    Delta(CheckMeta, Vec<DeltaRecord>),
 }
 
 /// A chunk on its way from a copy's producer to a writer: where it goes,
@@ -150,47 +162,23 @@ pub struct FrameMode {
     pub codec: Option<DeltaPolicy>,
 }
 
-/// What [`PersistPipeline::copy_delta`] actually persisted, and what the
-/// caller must pass to `seal`/commit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaPlan {
-    /// The policy forced a full checkpoint; the payload was streamed by
-    /// [`PersistPipeline::copy_streamed`]. Commit with the full-state
-    /// digest via [`PersistPipeline::commit`].
-    Full {
-        /// Persist-phase start timestamp for the caller's `seal`.
-        persist_start: u64,
-    },
-    /// A delta payload (extent table + packed dirty bytes) was streamed.
-    /// Commit with `payload_digest` via [`PersistPipeline::commit_delta`].
-    Delta {
-        /// Persist-phase start timestamp for the caller's `seal`.
-        persist_start: u64,
-        /// Bytes of payload in the slot (table + packed extents).
-        payload_len: u64,
-        /// Checksum of the serialized extent table (the delta slot's meta
-        /// digest).
-        payload_digest: u64,
-        /// Back-pointer to commit with.
-        link: DeltaLink,
-        /// Packed dirty bytes persisted (excludes the table).
-        dirty_bytes: u64,
-    },
-}
-
 /// Rolled-up outcome of [`PersistPipeline::checkpoint_delta`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeltaOutcome {
-    /// Only dirty extents were persisted, chained onto the base.
+    /// A delta frame was persisted, chained onto the base: the records
+    /// the dirty extents touched, plus references to the rest.
     Delta {
-        /// Bytes of payload in the slot (table + packed extents).
+        /// Bytes the frame occupies on the device: packed records plus
+        /// table ([`FramedPlan::persisted_len`]).
         payload_len: u64,
-        /// Packed dirty bytes persisted.
+        /// Snapshot bytes copied and materialized: the dirty extents and
+        /// the clean remainder of the base records they touched.
         dirty_bytes: u64,
         /// Depth of the committed checkpoint in its chain.
         chain_depth: u32,
     },
-    /// The policy fell back to a full streamed checkpoint.
+    /// The policy fell back to a full streamed checkpoint (an all-`Raw`
+    /// frame with no link).
     Full,
 }
 
@@ -614,77 +602,127 @@ impl PersistPipeline {
         digest: u64,
         mode: FrameMode,
     ) -> Result<FramedPlan, PccheckError> {
+        let chunk = self.pool().chunk_size().as_u64();
+        let total = total.as_u64();
+        let capacity = self.store.frame_capacity() as u64;
+        let records = match mode.codec.filter(|_| total.div_ceil(chunk) <= capacity) {
+            None => Records::Raw,
+            // Cross-checkpoint dedup bases on the job's latest committed
+            // checkpoint, bounded by the same chain policy as deltas:
+            // every base reference pins the base's slot via a `DeltaLink`.
+            Some(policy) => Records::Codec(
+                self.store
+                    .latest_committed_for(lease)
+                    .filter(|b| b.chain_depth() < policy.max_chain),
+            ),
+        };
+        self.run_frame(ctx, src, lease, total, digest, mode.staged, records)
+    }
+
+    /// The body of [`copy_frame`](Self::copy_frame) and
+    /// [`copy_delta`](Self::copy_delta): the producer walks `records`'
+    /// pieces against the writers, then the frame's packed records are
+    /// placed and its table written and fenced after them.
+    #[allow(clippy::too_many_arguments)]
+    fn run_frame(
+        &self,
+        ctx: PipelineCtx<'_>,
+        src: &dyn SnapshotSource,
+        lease: &SlotLease,
+        total: u64,
+        digest: u64,
+        staged: bool,
+        records: Records,
+    ) -> Result<FramedPlan, PccheckError> {
         let pool = self.pool();
         let chunk = pool.chunk_size().as_u64();
-        let total = total.as_u64();
         let capacity = self.store.frame_capacity();
-        let policy = mode
-            .codec
-            .filter(|_| total.div_ceil(chunk) <= capacity as u64);
-        // Cross-checkpoint dedup bases on the job's latest committed
-        // checkpoint, bounded by the same chain policy as deltas: every
-        // base reference pins the base's slot via a `DeltaLink`.
-        let base = policy.and_then(|policy| {
-            let b = self.store.latest_committed_for(lease)?;
-            let depth = b.delta.map_or(0, |l| l.chain_depth);
-            (depth < policy.max_chain).then_some((b.counter, b.slot, depth))
-        });
+        let (raw, codec) = (
+            matches!(records, Records::Raw),
+            matches!(records, Records::Codec(_)),
+        );
+        // The checkpoint a reference-holding frame links to, and the one
+        // dedup lookups answer from.
+        let (link_base, dedup_base) = match &records {
+            Records::Raw => (None, None),
+            Records::Codec(base) => (*base, *base),
+            Records::Delta(base, _) => (Some(*base), None),
+        };
+        let whole: Vec<DeltaRecord>;
+        let pieces: &[DeltaRecord] = match &records {
+            Records::Delta(_, pieces) => pieces,
+            _ => {
+                whole = (0..total.div_ceil(chunk))
+                    .map(|i| DeltaRecord::Copy(chunk.min(total - i * chunk)))
+                    .collect();
+                &whole
+            }
+        };
         let packing = Packing::default();
         let run = |feed: &mut WriterFeed<'_>| {
             let copy_start = ctx.telemetry.now_nanos();
-            let mut raw = RawFrame::new(total, chunk, capacity);
+            let mut raw_frame = RawFrame::new(total, chunk, capacity);
             let mut records: Vec<FrameRecord> = Vec::new();
             // Content address → (record, logical offset) of the first
             // materialized chunk with it.
             let mut self_seen: HashMap<u64, (usize, u64)> = HashMap::new();
             let mut scratch = Vec::new();
-            let mut staged = Vec::new();
+            let mut staged_chunks = Vec::new();
             let mut off = 0u64;
-            while off < total && !feed.aborted() {
-                let n = chunk.min(total - off) as usize;
+            for piece in pieces {
+                if feed.aborted() {
+                    break;
+                }
+                let n = match *piece {
+                    DeltaRecord::Forward(r) => {
+                        records.push(r);
+                        off += r.logical_len;
+                        continue;
+                    }
+                    DeltaRecord::Copy(n) => n as usize,
+                };
                 let mut buf = pool.acquire();
                 src.copy_range_to_host(off, &mut buf.as_mut_slice()[..n]);
                 ctx.telemetry.chunk(ctx.span, Phase::GpuCopy, off, n as u64);
                 let data = &buf.as_slice()[..n];
-                let place = match policy {
-                    None => {
-                        raw.feed(data);
-                        Some(Place::At(off))
-                    }
-                    Some(_) => {
-                        let d = chunk_digest(data);
-                        let i = records.len();
-                        let repeat = self_seen.get(&d).copied().filter(|&(j, j_off)| {
-                            records[j].logical_len == n as u64 && {
-                                scratch.resize(n, 0);
-                                src.copy_range_to_host(j_off, &mut scratch);
-                                scratch == data
-                            }
-                        });
-                        let lookup = || {
-                            let (counter, _, _) = base?;
-                            let dedup = self.codec.dedup.lock();
-                            dedup.lookup(lease.job(), counter, d, n as u64)
-                        };
-                        let len = n as u64;
-                        let (record, place) = if let Some((j, _)) = repeat {
-                            (FrameRecord::dedup_self(j, len, d), None)
-                        } else if let Some(hit) = lookup() {
-                            (FrameRecord::dedup_base(hit, len, d), None)
-                        } else {
+                let place = if raw {
+                    raw_frame.feed(data);
+                    Some(Place::At(off))
+                } else {
+                    let d = chunk_digest(data);
+                    let i = records.len();
+                    let len = n as u64;
+                    let repeat = self_seen.get(&d).copied().filter(|&(j, j_off)| {
+                        records[j].logical_len == len && {
+                            scratch.resize(n, 0);
+                            src.copy_range_to_host(j_off, &mut scratch);
+                            scratch == data
+                        }
+                    });
+                    let lookup = || {
+                        let base = dedup_base?;
+                        let dedup = self.codec.dedup.lock();
+                        dedup.lookup(lease.job(), base.counter, d, len)
+                    };
+                    let (record, place) = if let Some((j, _)) = repeat {
+                        (FrameRecord::dedup_self(j, len, d), None)
+                    } else if let Some(hit) = lookup() {
+                        (FrameRecord::dedup_base(hit, len, d), None)
+                    } else {
+                        if codec {
                             self_seen.entry(d).or_insert((i, off));
-                            // Placed after the writers drain.
-                            let record = FrameRecord::stored(ChunkEncoding::Raw, 0, 0, len, d);
-                            (record, Some(Place::Pack(i)))
-                        };
-                        records.push(record);
-                        place
-                    }
+                        }
+                        // Placed after the writers drain.
+                        let record = FrameRecord::stored(ChunkEncoding::Raw, 0, 0, len, d);
+                        (record, Some(Place::Pack(i)))
+                    };
+                    records.push(record);
+                    place
                 };
                 if let Some(place) = place {
                     let c = (place, n, buf);
-                    if mode.staged {
-                        staged.push(c);
+                    if staged {
+                        staged_chunks.push(c);
                     } else {
                         feed.send(c);
                     }
@@ -704,17 +742,13 @@ impl PersistPipeline {
                 );
             }
             // A staged copy starts persisting once the snapshot is in DRAM.
-            let staged_end = if mode.staged {
-                ctx.telemetry.now_nanos()
-            } else {
-                0
-            };
-            staged.into_iter().for_each(|c| feed.send(c));
-            let records = match policy {
+            let staged_end = if staged { ctx.telemetry.now_nanos() } else { 0 };
+            staged_chunks.into_iter().for_each(|c| feed.send(c));
+            let records = match raw {
                 // Cut short by a writer's error, which run_writers returns.
-                None if off < total => Vec::new(),
-                None => raw.finish(lease.counter).records,
-                Some(_) => records,
+                true if off < total => Vec::new(),
+                true => raw_frame.finish(lease.counter).records,
+                false => records,
             };
             (staged_end, records)
         };
@@ -726,15 +760,14 @@ impl PersistPipeline {
             logical_len: total,
             records,
         };
-        let packed = match policy {
-            None => total,
-            Some(_) => {
-                for (i, kind, off, len) in packing.placed.into_inner() {
-                    let r = &mut table.records[i];
-                    *r = FrameRecord::stored(kind, off, len, r.logical_len, r.digest);
-                }
-                packing.cursor.into_inner()
+        let packed = if raw {
+            total
+        } else {
+            for (i, kind, off, len) in packing.placed.into_inner() {
+                let r = &mut table.records[i];
+                *r = FrameRecord::stored(kind, off, len, r.logical_len, r.digest);
             }
+            packing.cursor.into_inner()
         };
         // The table goes last, after every record it describes. It is not a
         // chunk, so the per-chunk stage histograms leave it out; the
@@ -748,21 +781,15 @@ impl PersistPipeline {
             .filter(|r| !r.kind.is_materialized())
             .count() as u64;
         let saved_bytes = total.saturating_sub(packed + table_len);
-        if policy.is_some() {
+        if codec {
             ctx.telemetry.add_codec_bytes_saved(saved_bytes);
             ctx.telemetry.add_dedup_chunks(dedup_chunks);
             ctx.telemetry
                 .gauge_compression_ratio((packed + table_len) * 1000 / total.max(1));
         }
-        let link = table.references_base().then(|| {
-            let (base_counter, base_slot, base_depth) =
-                base.expect("base references require a dedup base");
-            DeltaLink {
-                base_counter,
-                base_slot,
-                chain_depth: base_depth + 1,
-            }
-        });
+        let link = table
+            .references_base()
+            .then(|| DeltaLink::onto(&link_base.expect("base references require a base")));
         Ok(FramedPlan {
             persist_start,
             payload_len: packed,
@@ -826,35 +853,24 @@ impl PersistPipeline {
             .map(Some)
     }
 
-    /// Reads and authenticates the extent table at the head of a delta
-    /// slot's payload.
-    fn read_extent_table(&self, slot: u32, payload_len: u64) -> Result<ExtentTable, PccheckError> {
-        let base_off = self.store.slot_payload_offset(slot);
-        let mut head = [0u8; pccheck_device::extent::EXTENT_TABLE_HEADER + 8];
-        self.store.device().read_durable_at(base_off, &mut head)?;
-        let count = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes")) as usize;
-        let table_len = ExtentTable::encoded_len_for(count).min(payload_len);
-        let mut buf = vec![0u8; table_len as usize];
-        self.store.device().read_durable_at(base_off, &mut buf)?;
-        Ok(ExtentTable::decode(&buf)?)
-    }
-    /// Incremental copy: persists only the snapshot's dirty extents
-    /// (`[extent table][packed dirty bytes]`) into the leased slot,
-    /// streaming the packed bytes through the same writers as
-    /// [`copy_frame`](Self::copy_frame), with a producer that walks the
-    /// dirty extents.
+    /// Incremental copy: persists a delta frame over the job's latest
+    /// commit through the chunk loop of [`copy_frame`](Self::copy_frame).
+    /// The base's untouched records are forwarded as references
+    /// ([`codec::plan_delta`]); the records the snapshot's dirty extents
+    /// touch are split at the extent boundaries, copied, content-addressed
+    /// and packed (compress-gated) by the writers. The plan's link pins
+    /// every checkpoint the references name.
     ///
-    /// Falls back to a full `copy_streamed` — returning
-    /// [`DeltaPlan::Full`] — when there is no committed base, the base
-    /// chain would exceed `policy.max_chain`, the dirty ratio exceeds
-    /// `policy.max_dirty_ratio`, the delta payload would not actually be
-    /// smaller than the full state, or the base describes a different
-    /// state size. Periodic falls back bound recovery cost: a chain is
-    /// never longer than `max_chain` links.
+    /// Streams a full all-`Raw` frame instead — a plan with no link — when
+    /// the dirty ratio exceeds `policy.max_dirty_ratio` (checked before
+    /// the base's table is read), there is no committed base, the base
+    /// chain is already `policy.max_chain` links long, the base describes
+    /// a different state size, or the planned records would not fit the
+    /// slot's frame table. Periodic fallbacks bound recovery cost: a chain
+    /// is never longer than `max_chain` links.
     ///
     /// `full_digest` is the digest of the complete state *after* this
-    /// update (what [`commit`](Self::commit) would be given on the full
-    /// path); recovery verifies the chain-reconstructed state against it.
+    /// update; recovery verifies the reconstructed state against it.
     ///
     /// Delta checkpoints require the serial checkpoint discipline: one
     /// in-flight checkpoint at a time, each based on the latest committed
@@ -871,154 +887,47 @@ impl PersistPipeline {
         total: ByteSize,
         full_digest: u64,
         policy: DeltaPolicy,
-    ) -> Result<DeltaPlan, PccheckError> {
+    ) -> Result<FramedPlan, PccheckError> {
+        let total = total.as_u64();
         let dirty = merge_ranges(src.dirty_ranges());
         let dirty_bytes: u64 = dirty.iter().map(|(_, len)| len).sum();
-        let ratio = if total.as_u64() == 0 {
+        let ratio = if total == 0 {
             1.0
         } else {
-            dirty_bytes as f64 / total.as_u64() as f64
+            dirty_bytes as f64 / total as f64
         };
         ctx.telemetry.gauge_dirty_ratio((ratio * 1000.0) as u64);
 
         // Delta chains are per-tenant: a namespaced lease bases on its own
         // namespace's head, never on another job's checkpoint.
-        let base = self.store.latest_committed_for(lease);
-        let plan_delta = match &base {
-            None => None,
-            Some(base) => {
-                let base_depth = base.delta.map_or(0, |l| l.chain_depth);
-                // A frame names its logical length; an extent delta its
-                // table's `full_len`.
-                let base_full_len = match self.store.read_frame(base) {
-                    Some(frame) => frame.logical_len,
-                    None => self
-                        .read_extent_table(base.slot, base.payload_len)
-                        .map_or(0, |t| t.full_len),
-                };
-                let table_len = ExtentTable::encoded_len_for(dirty.len());
-                let fits = table_len + dirty_bytes < total.as_u64()
-                    && table_len + dirty_bytes <= self.store.slot_size().as_u64();
-                (base_depth < policy.max_chain
-                    && ratio <= policy.max_dirty_ratio
-                    && base_full_len == total.as_u64()
-                    && fits)
-                    .then_some((*base, base_depth, table_len))
-            }
-        };
-        let Some((base, base_depth, table_len)) = plan_delta else {
-            let persist_start = self.copy_streamed(ctx, src, lease, total)?;
-            return Ok(DeltaPlan::Full { persist_start });
-        };
-
-        let pool = self.pool();
-        let start = ctx.telemetry.now_nanos();
-        // Producer: copy each dirty extent from the snapshot, packing them
-        // back to back after the table and folding the per-extent digest
-        // as the chunks stream by.
-        let copy_extents = |feed: &mut WriterFeed<'_>| {
-            let chunk = pool.chunk_size().as_u64();
-            let mut extent_digests: Vec<u64> = Vec::with_capacity(dirty.len());
-            let mut dst = table_len;
-            'extents: for &(ext_off, ext_len) in &dirty {
-                let mut h = FNV_SEED;
-                let mut done = 0u64;
-                while done < ext_len {
-                    if feed.aborted() {
-                        break 'extents;
-                    }
-                    let n = chunk.min(ext_len - done) as usize;
-                    let mut buf = pool.acquire();
-                    src.copy_range_to_host(ext_off + done, &mut buf.as_mut_slice()[..n]);
-                    h = fnv1a_fold(h, &buf.as_slice()[..n]);
-                    ctx.telemetry
-                        .chunk(ctx.span, Phase::GpuCopy, ext_off + done, n as u64);
-                    feed.send((Place::At(dst), n, buf));
-                    done += n as u64;
-                    dst += n as u64;
-                }
-                extent_digests.push(h);
-            }
-            ctx.telemetry.phase_done(ctx.span, Phase::GpuCopy, start);
-            if extent_digests.len() == dirty.len() {
-                self.store.flight().record(
-                    FlightEventKind::CopyDone,
-                    lease.counter,
-                    lease.slot,
-                    0,
-                    dirty_bytes,
-                    0,
-                );
-            }
-            extent_digests
-        };
-        let (extent_digests, _) =
-            self.run_writers(ctx, lease, &Packing::default(), copy_extents)?;
-
-        // Build and persist the extent table at the head of the slot.
-        let map_start = ctx.telemetry.now_nanos();
-        let table = ExtentTable {
-            full_len: total.as_u64(),
-            full_digest,
-            extents: dirty
-                .iter()
-                .zip(&extent_digests)
-                .map(|(&(offset, len), &digest)| ExtentRecord {
-                    offset,
-                    len,
-                    digest,
-                })
-                .collect(),
-        };
-        let table_bytes = table.encode();
-        debug_assert_eq!(table_bytes.len() as u64, table_len);
-        self.write_and_fence_chunk(ctx, lease, 0, &table_bytes)?;
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::DeltaMap, map_start);
-        let payload_len = table_len + dirty_bytes;
-        ctx.telemetry
-            .add_delta_bytes_saved(total.as_u64().saturating_sub(payload_len));
-        Ok(DeltaPlan::Delta {
-            persist_start: start,
-            payload_len,
-            payload_digest: crate::meta::checksum(&table_bytes),
-            link: DeltaLink {
-                base_counter: base.counter,
-                base_slot: base.slot,
-                chain_depth: base_depth + 1,
-            },
-            dirty_bytes,
-        })
-    }
-
-    /// Runs the store's delta-aware CAS commit and closes the `Commit`
-    /// phase. Pairs with [`DeltaPlan::Delta`] from
-    /// [`copy_delta`](Self::copy_delta).
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors.
-    pub fn commit_delta(
-        &self,
-        ctx: PipelineCtx<'_>,
-        lease: SlotLease,
-        iteration: u64,
-        payload_len: u64,
-        payload_digest: u64,
-        link: DeltaLink,
-    ) -> Result<CommitOutcome, PccheckError> {
-        let commit_start = ctx.telemetry.now_nanos();
-        let outcome =
-            self.store
-                .commit_with_delta(lease, iteration, payload_len, payload_digest, Some(link));
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::Commit, commit_start);
-        outcome
+        let records = (self.store.latest_committed_for(lease))
+            .filter(|base| ratio <= policy.max_dirty_ratio && base.chain_depth() < policy.max_chain)
+            .and_then(|base| {
+                let map_start = ctx.telemetry.now_nanos();
+                let chunk = self.pool().chunk_size().as_u64();
+                let pieces = self
+                    .store
+                    .read_frame(&base)
+                    .filter(|frame| frame.logical_len == total)
+                    .map(|frame| codec::plan_delta(&frame, base.slot, base.counter, &dirty, chunk));
+                ctx.telemetry
+                    .phase_done(ctx.span, Phase::DeltaMap, map_start);
+                pieces
+                    .filter(|p| p.len() <= self.store.frame_capacity())
+                    .map(|p| Records::Delta(base, p))
+            })
+            .unwrap_or(Records::Raw);
+        let plan = self.run_frame(ctx, src, lease, total, full_digest, false, records)?;
+        if plan.link.is_some() {
+            ctx.telemetry
+                .add_delta_bytes_saved(total.saturating_sub(plan.persisted_len()));
+        }
+        Ok(plan)
     }
 
     /// One-call incremental checkpoint: lease →
-    /// [`copy_delta`](Self::copy_delta) → `seal` → commit, routing to the
-    /// delta or full commit as the plan dictates.
+    /// [`copy_delta`](Self::copy_delta) → `seal` →
+    /// [`commit_framed`](Self::commit_framed).
     ///
     /// # Errors
     ///
@@ -1031,40 +940,27 @@ impl PersistPipeline {
         full_digest: u64,
         policy: DeltaPolicy,
     ) -> Result<(CommitOutcome, DeltaOutcome), PccheckError> {
-        let total = src.size();
         let lease = self.lease_for(ctx, None)?;
-        match self.copy_delta(ctx, src, &lease, total, full_digest, policy)? {
-            DeltaPlan::Full { persist_start } => {
-                self.seal(ctx, &lease, iteration, total, persist_start)?;
-                let out = self.commit(ctx, lease, iteration, total.as_u64(), full_digest)?;
-                Ok((out, DeltaOutcome::Full))
-            }
-            DeltaPlan::Delta {
-                persist_start,
-                payload_len,
-                payload_digest,
-                link,
-                dirty_bytes,
-            } => {
-                self.seal(
-                    ctx,
-                    &lease,
-                    iteration,
-                    ByteSize::from_bytes(payload_len),
-                    persist_start,
-                )?;
-                let out =
-                    self.commit_delta(ctx, lease, iteration, payload_len, payload_digest, link)?;
-                Ok((
-                    out,
-                    DeltaOutcome::Delta {
-                        payload_len,
-                        dirty_bytes,
-                        chain_depth: link.chain_depth,
-                    },
-                ))
-            }
-        }
+        let plan = self.copy_delta(ctx, src, &lease, src.size(), full_digest, policy)?;
+        self.seal(
+            ctx,
+            &lease,
+            iteration,
+            ByteSize::from_bytes(plan.payload_len),
+            plan.persist_start,
+        )?;
+        let out = self.commit_framed(ctx, lease, iteration, &plan)?;
+        let records = plan.table.records.iter();
+        let copied = records.filter(|r| r.kind.is_materialized());
+        let kind = match plan.link {
+            Some(link) => DeltaOutcome::Delta {
+                payload_len: plan.persisted_len(),
+                dirty_bytes: copied.map(|r| r.logical_len).sum(),
+                chain_depth: link.chain_depth,
+            },
+            None => DeltaOutcome::Full,
+        };
+        Ok((out, kind))
     }
 
     /// Runs the store's delta-aware CAS commit for a frame and, on
@@ -1824,38 +1720,14 @@ mod tests {
                 .copy_delta(ctx, &guard, &lease, total, digest.0, policy)
                 .unwrap();
             drop(guard);
-            match plan {
-                DeltaPlan::Full { persist_start } => {
-                    assert_eq!(iter, 1, "first commit has no base");
-                    pipeline
-                        .seal(ctx, &lease, iter, total, persist_start)
-                        .unwrap();
-                    pipeline
-                        .commit(ctx, lease, iter, total.as_u64(), digest.0)
-                        .unwrap();
-                }
-                DeltaPlan::Delta {
-                    persist_start,
-                    payload_len,
-                    payload_digest,
-                    link,
-                    ..
-                } => {
-                    assert_eq!(iter, 2, "sparse update chains on the job's own base");
-                    pipeline
-                        .seal(
-                            ctx,
-                            &lease,
-                            iter,
-                            ByteSize::from_bytes(payload_len),
-                            persist_start,
-                        )
-                        .unwrap();
-                    pipeline
-                        .commit_delta(ctx, lease, iter, payload_len, payload_digest, link)
-                        .unwrap();
-                }
-            }
+            // The first commit has no base; the sparse update chains on
+            // the job's own base.
+            assert_eq!(plan.link.is_some(), iter == 2, "iteration {iter}");
+            let sealed = ByteSize::from_bytes(plan.payload_len);
+            pipeline
+                .seal(ctx, &lease, iter, sealed, plan.persist_start)
+                .unwrap();
+            pipeline.commit_framed(ctx, lease, iter, &plan).unwrap();
             g1.update_sparse(0.1);
         }
         assert_eq!(
@@ -1883,7 +1755,7 @@ mod tests {
             .unwrap();
         drop(guard);
         assert!(
-            matches!(plan, DeltaPlan::Full { .. }),
+            plan.link.is_none() && plan.table.is_raw(),
             "job 2 has no base in its namespace: {plan:?}"
         );
     }

@@ -66,8 +66,8 @@ pub struct RecoveryTrace {
     /// Candidates rejected before one verified (0 = the newest committed
     /// checkpoint verified on the first try).
     pub fallbacks: u64,
-    /// Delta links replayed to reconstruct the recovered state (0 when the
-    /// recovered checkpoint was a full one).
+    /// Distinct earlier checkpoints whose records the recovered frame read
+    /// (0 when it referenced none).
     pub chain_links: u64,
     /// The recovered checkpoint's global counter.
     pub counter: u64,
@@ -81,13 +81,12 @@ pub struct RecoveryTrace {
 /// [`RestorePipeline`](crate::restore::RestorePipeline): candidates are
 /// verified newest-first, each frame's record reads fan out across
 /// [`RestoreOptions::default`]'s readers, and every record verifies
-/// against its content address as it lands. An extent-delta checkpoint
-/// is reconstructed by fetching its chain layers in parallel and
-/// replaying every extent table with per-extent digest verification;
-/// verified layers are cached across candidates within the pass. If the
-/// newest committed slot fails
-/// verification — digest mismatch, broken chain, *or a device read
-/// fault* — older intact committed slots are tried newest-first: the
+/// against its content address as it lands. A delta frame resolves its
+/// references into the records of earlier checkpoints on its chain, and
+/// any frame that is not all-`Raw` is also checked against the commit's
+/// full-state digest. If the newest committed slot fails verification —
+/// digest mismatch, unresolvable reference, *or a device read fault* —
+/// older intact committed slots are tried newest-first: the
 /// paper keeps `N+1` slots precisely so a torn newest checkpoint degrades
 /// to the previous one instead of to data loss.
 ///
@@ -482,7 +481,7 @@ mod tests {
     }
 
     #[test]
-    fn recovery_replays_a_delta_chain() {
+    fn recovery_resolves_a_delta_chain() {
         let (ssd, store, gpu) = crate::restore::tests::delta_store(3);
         let head = store.latest_committed().unwrap();
         assert_eq!(head.delta.unwrap().chain_depth, 2);
@@ -506,7 +505,7 @@ mod tests {
         assert_eq!(fresh.digest(), digest_final, "bit-identical reconstruction");
         assert_eq!(fresh.step_count(), 3);
         let snap = telemetry.snapshot().unwrap();
-        assert_eq!(snap.phase(Phase::DeltaReplay).count, 1);
+        assert_eq!(snap.phase(Phase::RecoveryLoad).count, 1);
     }
 
     #[test]
@@ -514,8 +513,8 @@ mod tests {
         let (ssd, store, _gpu) = crate::restore::tests::delta_store(2);
         let head = store.latest_committed().unwrap();
         assert!(head.is_delta());
-        // Corrupt the last packed extent byte of the delta payload; the
-        // extent table itself stays intact.
+        // Corrupt the last packed byte of the delta frame (a record it
+        // materialized); the frame table itself stays intact.
         let off = store.slot_payload_offset(head.slot) + head.payload_len - 1;
         let mut b = [0u8; 1];
         ssd.read_durable_at(off, &mut b).unwrap();

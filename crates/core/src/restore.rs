@@ -21,18 +21,16 @@
 //!
 //! [`recover_instrumented_with`] rebuilds the crate's recovery flow on top
 //! of this pipeline: candidates fall back newest-first on *any* failure
-//! (digest mismatch **or** device read fault), extent-delta chains fetch
-//! all layers in parallel, and verified layers are cached across
-//! candidates within one recovery pass so a torn newest delta does not
-//! force the shared root to be re-read and re-verified.
+//! (digest mismatch, unresolvable reference **or** device read fault). A
+//! delta is a frame like any other: its references resolve to the records
+//! of earlier checkpoints on its chain, read once each, in parallel.
 
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use pccheck_device::{ExtentTable, PersistentDevice};
+use pccheck_device::PersistentDevice;
 use pccheck_gpu::{Gpu, RestoreTarget};
 use pccheck_telemetry::{FlightEventKind, Phase, Telemetry};
 use pccheck_util::sync::Mutex;
@@ -87,42 +85,6 @@ impl RestoreSink for Mutex<Vec<u8>> {
     fn put(&self, offset: u64, data: &[u8]) {
         let start = usize::try_from(offset).expect("offset fits in memory");
         self.lock()[start..start + data.len()].copy_from_slice(data);
-    }
-}
-
-/// The identity of a committed layer: `(counter, slot)`.
-type LayerKey = (u64, u32);
-/// A cached verified root state (`None` = the layer failed).
-type FullLayer = Option<Arc<Vec<u8>>>;
-/// A cached delta layer: decoded extent table + raw slot payload (`None`
-/// = the layer failed).
-type DeltaLayer = Option<Arc<(ExtentTable, Vec<u8>)>>;
-
-/// What one recovery pass has already read, shared across candidates.
-///
-/// Keyed by `(counter, slot)` — the identity a delta link names. `None`
-/// caches a *failed* lookup or layer (no frame, torn payload, bad
-/// digest): the device contents cannot change mid-pass, so retrying is
-/// wasted I/O.
-#[derive(Debug, Default)]
-pub struct LayerCache {
-    /// Each layer's bound frame table (`None`: the slot holds no frame of
-    /// that commit — an extent delta, or a torn table).
-    frames: HashMap<LayerKey, Option<Arc<FrameTable>>>,
-    /// Verified chain roots (frames).
-    full: HashMap<LayerKey, FullLayer>,
-    /// Verified delta payloads: decoded extent table + raw slot payload
-    /// with every per-extent digest already checked.
-    delta: HashMap<LayerKey, DeltaLayer>,
-}
-
-impl LayerCache {
-    /// `meta`'s frame table, read through `pipeline`'s store once per pass.
-    fn frame(&mut self, pipeline: &RestorePipeline, meta: &CheckMeta) -> Option<Arc<FrameTable>> {
-        self.frames
-            .entry((meta.counter, meta.slot))
-            .or_insert_with(|| pipeline.store.read_frame(meta).map(Arc::new))
-            .clone()
     }
 }
 
@@ -311,105 +273,6 @@ impl RestorePipeline {
         });
         (!failed.into_inner()).then(|| verify_nanos.into_inner())
     }
-
-    /// Reconstructs the full state an extent-delta candidate represents,
-    /// fetching every uncached chain layer in parallel and reusing `cache`
-    /// across candidates within one recovery pass.
-    ///
-    /// The chain is collected newest→root from the committed candidates:
-    /// it ends at the first layer that is a frame (a frame materializes
-    /// the complete state on its own, even when its commit carries a link
-    /// pinning a dedup base). The root fetches through
-    /// [`fetch_state`](Self::fetch_state); each delta layer loads (and
-    /// binds its extent table) on its own thread. Replay then applies the
-    /// extents root→newest, checking each against its digest, and checks
-    /// the reconstructed image against the newest layer's full-state
-    /// digest. Any gap, torn layer, or digest mismatch returns
-    /// `None` — and is remembered in the cache so a later candidate
-    /// sharing the layer doesn't re-read it.
-    ///
-    /// On success returns `(full payload, full-state digest, links
-    /// replayed)`.
-    pub fn replay_delta_chain(
-        &self,
-        ctx: PipelineCtx<'_>,
-        meta: &CheckMeta,
-        candidates: &[CheckMeta],
-        cache: &mut LayerCache,
-    ) -> Option<(Vec<u8>, u64, u64)> {
-        let mut chain = vec![*meta];
-        let root_frame = loop {
-            let head = *chain.last().expect("chain starts non-empty");
-            if let Some(frame) = cache.frame(self, &head) {
-                break frame;
-            }
-            let link = head.delta?;
-            if chain.len() > candidates.len() {
-                return None; // cycle or longer than the slot count can hold
-            }
-            let base = candidates
-                .iter()
-                .find(|c| c.counter == link.base_counter && c.slot == link.base_slot)?;
-            chain.push(*base);
-        };
-        let root = *chain.last().expect("chain ends at a root");
-        let root_key = (root.counter, root.slot);
-        let deltas = &chain[..chain.len() - 1];
-
-        // Fetch every uncached layer in parallel: delta layers on their own
-        // threads, the (largest) root through the multi-reader fetch here.
-        let uncached: Vec<CheckMeta> = deltas
-            .iter()
-            .filter(|d| !cache.delta.contains_key(&(d.counter, d.slot)))
-            .copied()
-            .collect();
-        let fetched: Mutex<Vec<(LayerKey, DeltaLayer)>> = Mutex::new(Vec::new());
-        let full = &mut cache.full;
-        std::thread::scope(|s| {
-            for d in &uncached {
-                let fetched = &fetched;
-                s.spawn(move || {
-                    let layer = self.load_delta_layer(ctx, d);
-                    fetched.lock().push(((d.counter, d.slot), layer));
-                });
-            }
-            full.entry(root_key).or_insert_with(|| {
-                self.fetch_state(ctx, &root, &root_frame, candidates)
-                    .map(|(state, _)| Arc::new(state))
-            });
-        });
-        for (key, layer) in fetched.into_inner() {
-            cache.delta.insert(key, layer);
-        }
-
-        // Replay root→newest over a copy of the verified root image.
-        let mut state = (**cache.full.get(&root_key)?.as_ref()?).clone();
-        let mut full_digest = root.digest;
-        for delta in chain.iter().rev().skip(1) {
-            let (table, payload) = &**cache.delta.get(&(delta.counter, delta.slot))?.as_ref()?;
-            table.apply(payload, &mut state)?;
-            full_digest = table.full_digest;
-        }
-
-        // The reconstructed image must match the newest delta's full-state
-        // digest under either digest discipline.
-        payload_digest_matches(&state, meta.iteration, full_digest)
-            .then(|| (state, full_digest, chain.len() as u64 - 1))
-    }
-
-    /// Loads one delta layer: reads its slot payload and binds the extent
-    /// table to the commit (the per-extent digests are checked when the
-    /// layer is applied).
-    fn load_delta_layer(
-        &self,
-        ctx: PipelineCtx<'_>,
-        meta: &CheckMeta,
-    ) -> Option<Arc<(ExtentTable, Vec<u8>)>> {
-        let mut payload = vec![0u8; usize::try_from(meta.payload_len).ok()?];
-        self.read_chunk(ctx, meta.slot, 0, &mut payload).ok()?;
-        let table = ExtentTable::decode_bound(&payload, meta.digest)?;
-        Some(Arc::new((table, payload)))
-    }
 }
 
 /// [`crate::recover_instrumented`] with explicit [`RestoreOptions`]: the
@@ -437,9 +300,9 @@ pub fn recover_instrumented_with(
 
 /// Recovers the newest verifiable checkpoint straight into `gpu`'s device
 /// memory: all-`Raw` frames stream record by record into a
-/// [`RestoreTarget`] as they verify (no full-payload DRAM image); codec
-/// frames and extent-delta chains reconstruct in DRAM, verify end to end,
-/// and upload once.
+/// [`RestoreTarget`] as they verify (no full-payload DRAM image); frames
+/// with compressed or referenced records reconstruct in DRAM, verify end
+/// to end, and upload once.
 ///
 /// # Errors
 ///
@@ -491,7 +354,6 @@ fn recover_core(
         return Err(PccheckError::NoCheckpoint);
     }
     let newest_counter = candidates[0].counter;
-    let mut cache = LayerCache::default();
     // Hands a verified state to the GPU (`None` left to return) or back.
     let deliver = |state: Vec<u8>, iteration: u64| match gpu {
         Some(gpu) => {
@@ -510,7 +372,7 @@ fn recover_core(
         // `verified` is `Some((Some(payload) | None-if-on-the-GPU, digest))`
         // on success; any failure — torn payload, bad digest, *or a device
         // read fault* — rejects only this candidate and falls back.
-        let verified: Option<(Option<Vec<u8>>, u64)> = match cache.frame(&pipeline, meta) {
+        let verified: Option<(Option<Vec<u8>>, u64)> = match store.read_frame(meta) {
             Some(table) => {
                 // An all-Raw frame the GPU's layout fits streams straight
                 // into it; anything else verifies end to end in DRAM first.
@@ -535,16 +397,8 @@ fn recover_core(
                 telemetry.phase_done(span, Phase::RecoveryVerify, load_start);
                 out.map(|(payload, verify_nanos)| {
                     trace.verify_nanos += verify_nanos;
-                    trace.chain_links = u64::from(meta.is_delta());
+                    trace.chain_links = table.base_checkpoints() as u64;
                     (payload, meta.digest)
-                })
-            }
-            None if meta.is_delta() => {
-                let out = pipeline.replay_delta_chain(ctx, meta, &candidates, &mut cache);
-                telemetry.phase_done(span, Phase::DeltaReplay, load_start);
-                out.map(|(state, digest, links)| {
-                    trace.chain_links = links;
-                    (deliver(state, meta.iteration), digest)
                 })
             }
             None => None,
@@ -586,13 +440,13 @@ fn recover_core(
 pub(crate) mod tests {
     use super::*;
     use pccheck_device::{DeviceConfig, HostBufferPool, SsdDevice};
-    use pccheck_gpu::{GpuConfig, HostSnapshot, TrainingState};
+    use pccheck_gpu::{GpuConfig, HostSnapshot, SnapshotSource, StateDigest, TrainingState};
     use pccheck_telemetry::SpanId;
     use pccheck_util::prop;
 
-    use crate::codec::{content_address, ChunkEncoding, FrameRecord};
+    use crate::codec::ChunkEncoding;
     use crate::meta::checksum;
-    use crate::pipeline::{DeltaPolicy, PersistPipeline};
+    use crate::pipeline::{DeltaOutcome, DeltaPolicy, PersistPipeline};
 
     fn ctx(telemetry: &Telemetry) -> PipelineCtx<'_> {
         PipelineCtx {
@@ -956,35 +810,6 @@ pub(crate) mod tests {
         ));
     }
 
-    /// The layer cache must prevent any device re-reads when the same
-    /// chain (or a chain sharing layers) replays again in one pass.
-    #[test]
-    fn layer_cache_avoids_rereading_shared_chain_layers() {
-        let (ssd, store, _gpu) = delta_store(3);
-        let telemetry = Telemetry::disabled();
-        let ctx = ctx(&telemetry);
-        let mut candidates = store.history().unwrap();
-        candidates.reverse();
-        let head = candidates[0];
-        assert!(head.is_delta());
-
-        let restore = RestorePipeline::new(Arc::clone(&store)).with_readers(2);
-        let mut cache = LayerCache::default();
-        let first = restore
-            .replay_delta_chain(ctx, &head, &candidates, &mut cache)
-            .unwrap();
-        let reads_after_first = ssd.stats().read_ops();
-        let second = restore
-            .replay_delta_chain(ctx, &head, &candidates, &mut cache)
-            .unwrap();
-        assert_eq!(first, second);
-        assert_eq!(
-            ssd.stats().read_ops(),
-            reads_after_first,
-            "cached chain replays touch the device zero times"
-        );
-    }
-
     #[test]
     fn recover_into_gpu_streams_full_checkpoints() {
         // An all-Raw frame the GPU's layout fits streams straight into a
@@ -1041,86 +866,308 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn crashed_frame_table_never_binds_to_a_later_delta() {
+    fn crashed_frame_table_never_binds_to_a_later_commit() {
         // A frame that crashed after its table persisted but before its
         // meta leaves that table, with its counter, in a slot that goes
-        // back to the free list. The next checkpoint lands there as an
-        // extent delta exactly as long as the crashed frame's records:
-        // its commit must not bind the stale table.
-        let (ssd, store, gpu) = delta_store(1);
-        gpu.update_sparse(0.1);
-        let guard = gpu.lock_weights_shared();
-        let dirty = pccheck_gpu::merge_ranges(guard.dirty_ranges());
-        let delta_len = ExtentTable::encoded_len_for(dirty.len())
-            + dirty.iter().map(|&(_, len)| len).sum::<u64>();
+        // back to the free list. The next commit lands there with exactly
+        // the crashed frame's packed length but writes no table of its
+        // own: its commit must not bind the stale table.
+        let (ssd, store, payloads) = raw_store(1, 4096, 1024);
         let lease = store.begin_checkpoint(None).unwrap();
         let (stale_counter, stale_slot) = (lease.counter, lease.slot);
-        let mut raw = crate::codec::RawFrame::new(delta_len, delta_len, 64);
-        raw.feed(&vec![0u8; delta_len as usize]);
-        let table_len = store
-            .write_frame_table(&lease, delta_len, &raw.finish(lease.counter))
-            .unwrap();
-        store.persist_payload(&lease, delta_len, table_len).unwrap();
+        let written = store.write_whole_frame(&lease, &payloads[0]).unwrap();
+        store.persist_payload(&lease, 0, written).unwrap();
         drop((lease, store));
         ssd.crash_now();
         ssd.recover();
 
         let device: Arc<dyn PersistentDevice> = ssd.clone();
-        let store = Arc::new(CheckpointStore::open(Arc::clone(&device)).unwrap());
-        let persist = PersistPipeline::new(Arc::clone(&store))
-            .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 4));
-        let telemetry = Telemetry::disabled();
-        let digest = guard.digest().0;
-        persist
-            .checkpoint_delta(ctx(&telemetry), &guard, 2, digest, DeltaPolicy::default())
+        let store = CheckpointStore::open(Arc::clone(&device)).unwrap();
+        let lease = store.begin_checkpoint(None).unwrap();
+        assert_eq!(lease.slot, stale_slot);
+        assert!(lease.counter > stale_counter, "counters never repeat");
+        store
+            .commit(lease, 2, 4096, checksum(&payloads[0]))
             .unwrap();
-        let delta = store.latest_committed().unwrap();
-        assert!(delta.is_delta());
-        assert_eq!((delta.slot, delta.payload_len), (stale_slot, delta_len));
-        assert!(delta.counter > stale_counter, "counters never repeat");
-        drop(guard);
+        let newest = store.latest_committed().unwrap();
+        assert!(
+            store.read_frame(&newest).is_none(),
+            "the stale table is not bound"
+        );
+        drop(store);
 
-        let rec = crate::recovery::recover(device).unwrap();
-        assert_eq!(rec.iteration, 2, "the delta recovers");
-        assert_eq!(rec.digest, digest);
+        let (rec, trace) = crate::recover_instrumented(device, &Telemetry::disabled()).unwrap();
+        assert_eq!((rec.iteration, trace.fallbacks), (1, 1));
+    }
+
+    /// A host state reporting exactly `dirty` as mutated since the last
+    /// snapshot.
+    struct Mutated {
+        snap: HostSnapshot,
+        dirty: Vec<(u64, u64)>,
+    }
+
+    impl SnapshotSource for Mutated {
+        fn size(&self) -> ByteSize {
+            self.snap.size()
+        }
+
+        fn step_count(&self) -> u64 {
+            self.snap.step
+        }
+
+        fn digest(&self) -> StateDigest {
+            self.snap.digest()
+        }
+
+        fn copy_range_to_host(&self, offset: u64, dst: &mut [u8]) {
+            self.snap.copy_range_to_host(offset, dst);
+        }
+
+        fn dirty_ranges(&self) -> Vec<(u64, u64)> {
+            self.dirty.clone()
+        }
+    }
+
+    /// A `slots`-slot store for `state` bytes, with a 2-writer pipeline
+    /// staging through `chunk`-byte chunks (codec on when `codec`).
+    fn chunk_rig(
+        state: u64,
+        slots: u32,
+        chunk: u64,
+        codec: bool,
+    ) -> (Arc<dyn PersistentDevice>, PersistPipeline) {
+        let size = ByteSize::from_bytes(state);
+        let cap = CheckpointStore::required_capacity(size, slots) + ByteSize::from_kb(1);
+        let device: Arc<dyn PersistentDevice> =
+            Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
+        let store = Arc::new(CheckpointStore::format(Arc::clone(&device), size, slots, 0).unwrap());
+        let pipeline = PersistPipeline::new(store)
+            .with_writers(2)
+            .with_staging(HostBufferPool::new(ByteSize::from_bytes(chunk), 4))
+            .with_codec(codec);
+        (device, pipeline)
+    }
+
+    /// Checkpoints `data` as `step` through the delta path, reporting
+    /// `dirty` as its mutated ranges.
+    fn delta_step(
+        pipeline: &PersistPipeline,
+        data: &[u8],
+        step: u64,
+        dirty: Vec<(u64, u64)>,
+        policy: DeltaPolicy,
+    ) -> DeltaOutcome {
+        let src = Mutated {
+            snap: HostSnapshot {
+                data: data.to_vec(),
+                step,
+            },
+            dirty,
+        };
+        let telemetry = Telemetry::disabled();
+        let digest = src.digest().0;
+        let (out, kind) = pipeline
+            .checkpoint_delta(ctx(&telemetry), &src, step, digest, policy)
+            .unwrap();
+        assert_eq!(out, crate::CommitOutcome::Committed);
+        kind
+    }
+
+    /// Recovers `device` through `readers` readers.
+    fn recover_with(device: &Arc<dyn PersistentDevice>, readers: usize) -> RecoveredCheckpoint {
+        let options = RestoreOptions { readers, job: None };
+        recover_instrumented_with(Arc::clone(device), &Telemetry::disabled(), options)
+            .unwrap()
+            .0
     }
 
     #[test]
-    fn dedup_reference_into_an_extent_delta_is_rejected() {
-        // A frame whose DedupBase record names an extent-delta slot: dedup
-        // only ever indexes frames, so the reference is forged. The frame
-        // must fail and recovery fall back to the delta it pointed at.
-        let (ssd, store, gpu) = delta_store(2);
-        let delta = store.latest_committed().unwrap();
-        assert!(delta.is_delta() && store.read_frame(&delta).is_none());
-        let lease = store.begin_checkpoint(None).unwrap();
-        let forged = crate::codec::FrameTable {
-            counter: lease.counter,
-            logical_len: 2048,
-            records: vec![FrameRecord {
-                kind: ChunkEncoding::DedupBase,
-                aux: delta.slot,
-                logical_len: 2048,
-                a: delta.counter,
-                b: 0,
-                digest: content_address(&[0u8; 2048]),
-            }],
-        };
-        let table_len = store.write_frame_table(&lease, 0, &forged).unwrap();
-        store.persist_payload(&lease, 0, table_len).unwrap();
-        store.commit(lease, 3, 0, 0).unwrap();
-        let want = gpu.digest();
-        drop(store);
-        ssd.crash_now();
-        ssd.recover();
+    fn delta_frame_chains_restore_bit_identically_to_full_checkpoints() {
+        const CHUNK: u64 = 64;
+        let deltas = std::sync::atomic::AtomicUsize::new(0);
+        prop::check(
+            "delta_frame_chains_restore_bit_identically_to_full_checkpoints",
+            24,
+            |g| {
+                let len = g.range(8u64..24) * CHUNK - g.range(0..CHUNK);
+                let max_chain = g.range(1u32..5);
+                let codec_root = g.bool();
+                // A codec root stores runs as Lz records and repeats as
+                // DedupSelf ones; a raw root is plain noise.
+                let mut data = if codec_root {
+                    let unique = g.bytes(CHUNK as usize..CHUNK as usize + 1);
+                    (0..len)
+                        .map(|i| match (i / CHUNK) % 3 {
+                            0 => unique[(i % CHUNK) as usize],
+                            1 => (i / CHUNK) as u8,
+                            _ => unique[(i % CHUNK) as usize] ^ 0x5A,
+                        })
+                        .collect()
+                } else {
+                    g.bytes(len as usize..len as usize + 1)
+                };
+                let (dev_a, pipe_a) = chunk_rig(len, max_chain + 2, CHUNK, codec_root);
+                let (dev_b, pipe_b) = chunk_rig(len, 2, CHUNK, false);
+                let policy = DeltaPolicy {
+                    max_dirty_ratio: 1.0,
+                    max_chain,
+                };
+                let full = DeltaPolicy {
+                    max_chain: 0,
+                    ..policy
+                };
+                let telemetry = Telemetry::disabled();
+                let src = HostSnapshot {
+                    data: data.clone(),
+                    step: 1,
+                };
+                let digest = src.digest().0;
+                pipe_a
+                    .checkpoint_framed(ctx(&telemetry), &src, 1, digest, policy)
+                    .unwrap();
+                assert_eq!(
+                    delta_step(&pipe_b, &data, 1, vec![(0, len)], full),
+                    DeltaOutcome::Full
+                );
+                if codec_root {
+                    let root = pipe_a.store().latest_committed().unwrap();
+                    let kinds: Vec<ChunkEncoding> =
+                        (pipe_a.store().read_frame(&root).unwrap().records)
+                            .iter()
+                            .map(|r| r.kind)
+                            .collect();
+                    assert!(kinds.contains(&ChunkEncoding::Lz), "{kinds:?}");
+                    assert!(kinds.contains(&ChunkEncoding::DedupSelf), "{kinds:?}");
+                }
+                for step in 2..=u64::from(max_chain) + 2 {
+                    let mut dirty = Vec::new();
+                    for _ in 0..g.range(1usize..4) {
+                        let at = g.range(0..len);
+                        let ranges = match g.range(0u8..5) {
+                            // Straddling record boundaries.
+                            0 | 1 => vec![(at, g.range(1..3 * CHUNK).min(len - at))],
+                            // Adjacent ranges.
+                            2 => {
+                                let first = g.range(1..CHUNK).min(len - at);
+                                let second = g.range(1..CHUNK).min(len - at - first);
+                                vec![(at, first), (at + first, second)]
+                            }
+                            3 => vec![(at, 1)],
+                            _ => vec![(0, len)],
+                        };
+                        dirty.extend(ranges.into_iter().filter(|&(_, n)| n > 0));
+                    }
+                    for &(off, n) in &dirty {
+                        for b in &mut data[off as usize..(off + n) as usize] {
+                            *b = b.wrapping_add(g.range(1u8..255));
+                        }
+                    }
+                    if let DeltaOutcome::Delta { chain_depth, .. } =
+                        delta_step(&pipe_a, &data, step, dirty, policy)
+                    {
+                        assert!(chain_depth <= max_chain);
+                        deltas.fetch_add(1, Ordering::Relaxed);
+                    }
+                    delta_step(&pipe_b, &data, step, vec![(0, len)], full);
+                    let twin = recover_with(&dev_b, 1);
+                    assert_eq!((twin.iteration, &twin.payload), (step, &data));
+                    for readers in [1, 4] {
+                        let rec = recover_with(&dev_a, readers);
+                        assert_eq!(rec.iteration, step, "{readers} readers");
+                        assert!(
+                            rec.payload == twin.payload,
+                            "{readers} readers, step {step}"
+                        );
+                    }
+                }
+            },
+        );
+        assert!(
+            deltas.into_inner() > 24,
+            "the chains must take the delta path"
+        );
+    }
 
-        let (rec, trace) = crate::recover_instrumented(
-            Arc::clone(&ssd) as Arc<dyn PersistentDevice>,
-            &Telemetry::disabled(),
-        )
-        .unwrap();
-        assert_eq!(rec.iteration, 2, "fell back past the forged frame");
-        assert_eq!(rec.digest, want.0);
-        assert_eq!(trace.fallbacks, 1);
+    #[test]
+    fn a_delta_whose_splits_overflow_the_table_streams_a_full_frame() {
+        // 64 records of 64 bytes fill the slot's 64-record table; one byte
+        // dirtied inside each of two records would split each into three.
+        let (device, pipeline) = chunk_rig(4096, 3, 64, false);
+        let mut data = vec![0u8; 4096];
+        pccheck_util::rng::fill_deterministic(&mut data, 3);
+        let policy = DeltaPolicy::default();
+        assert_eq!(
+            delta_step(&pipeline, &data, 1, vec![(0, 4096)], policy),
+            DeltaOutcome::Full
+        );
+        data[100] ^= 1;
+        data[1000] ^= 1;
+        let kind = delta_step(&pipeline, &data, 2, vec![(100, 1), (1000, 1)], policy);
+        assert_eq!(kind, DeltaOutcome::Full);
+        let head = pipeline.store().latest_committed().unwrap();
+        assert!(!head.is_delta() && pipeline.store().read_frame(&head).unwrap().is_raw());
+        let rec = recover_with(&device, 4);
+        assert_eq!((rec.iteration, rec.payload), (2, data));
+    }
+
+    #[test]
+    fn corrupt_record_in_a_middle_chain_slot_falls_back_past_its_dependents() {
+        // root ← d1 ← d2 ← d3, each delta touching one record elsewhere:
+        // d3 references the pieces d2 materialized. Damage to one of them
+        // fails d2 and d3; recovery lands on d1 with d1's exact bytes.
+        let (device, pipeline) = chunk_rig(4096, 6, 256, false);
+        let policy = DeltaPolicy::default();
+        let mut data = vec![0u8; 4096];
+        pccheck_util::rng::fill_deterministic(&mut data, 9);
+        let mut states = Vec::new();
+        for (step, at) in [
+            (1u64, None),
+            (2, Some(100u64)),
+            (3, Some(1000)),
+            (4, Some(2000)),
+        ] {
+            let dirty = match at {
+                None => vec![(0, 4096)],
+                Some(at) => {
+                    data[at as usize..at as usize + 10]
+                        .iter_mut()
+                        .for_each(|b| *b ^= 0xFF);
+                    vec![(at, 10)]
+                }
+            };
+            delta_step(&pipeline, &data, step, dirty, policy);
+            states.push(data.clone());
+        }
+        let store = pipeline.store();
+        let mut history = store.history().unwrap();
+        history.reverse();
+        let (d3, d2) = (history[0], history[1]);
+        assert_eq!((d3.iteration, d3.chain_depth()), (4, 3));
+        let into_d2 =
+            store.read_frame(&d3).unwrap().records.iter().any(|r| {
+                r.kind == ChunkEncoding::DedupBase && (r.aux, r.a) == (d2.slot, d2.counter)
+            });
+        assert!(into_d2, "d3 references d2's pieces");
+        let off = store.slot_payload_offset(d2.slot);
+        let mut byte = [0u8; 1];
+        device.read_durable_at(off, &mut byte).unwrap();
+        device.write_at(off, &[byte[0] ^ 0x40]).unwrap();
+        device.persist(off, 1).unwrap();
+
+        for readers in [1, 4] {
+            let (rec, trace) = recover_instrumented_with(
+                Arc::clone(&device),
+                &Telemetry::disabled(),
+                RestoreOptions { readers, job: None },
+            )
+            .unwrap();
+            assert_eq!(
+                (rec.iteration, trace.fallbacks),
+                (2, 2),
+                "{readers} readers"
+            );
+            assert_eq!(rec.payload, states[1]);
+        }
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! +--------------------+  offset 0
-//! | store header (64B) |  magic "PCcheCk3", slot count, slot size, ring
+//! | store header (64B) |  magic "PCcheCk4", slot count, slot size, ring
 //! |                    |  records, directory capacity
 //! +--------------------+  offset 64
 //! | slot 0 meta (64B)  |
@@ -32,8 +32,10 @@
 //! records followed by a frame table bound to the commit. The table room
 //! each slot reserves comes from the slot size alone
 //! ([`codec::frame_capacity`]), so the header records no table geometry.
-//! An extent delta (`copy_delta`) is the one other payload a slot holds;
-//! its extent table sits at the head of the payload instead.
+//! A frame whose records reference earlier checkpoints (a delta, or a
+//! codec frame deduplicated against its base) commits with a
+//! [`DeltaLink`], and every slot on that link chain stays pinned while it
+//! is the committed checkpoint.
 //!
 //! With `N` allowed concurrent checkpoints a namespace holds `N+1` slots —
 //! the `(N+1)·m` storage footprint of Table 1 — guaranteeing one fully
@@ -107,7 +109,7 @@ use pccheck_telemetry::{FlightEventKind, FlightRecorder, FlightRing};
 use pccheck_util::sync::RwLock;
 use pccheck_util::ByteSize;
 
-use crate::codec::{self, FrameTable};
+use crate::codec::{self, FrameRecord, FrameTable};
 use crate::error::PccheckError;
 use crate::meta::{
     CheckMeta, DeltaLink, NamespaceDesc, PackedCheckAddr, SlotState, META_RECORD_SIZE,
@@ -123,7 +125,7 @@ pub type JobId = u64;
 /// every slot. Job arguments of `None` resolve to it.
 pub const OWNER_JOB: JobId = 0;
 
-const STORE_MAGIC: u64 = 0x5043_6368_6543_6B33; // "PCcheCk3"
+const STORE_MAGIC: u64 = 0x5043_6368_6543_6B34; // "PCcheCk4"
 const HEADER_SIZE: u64 = 64;
 
 /// Stride of one namespace-directory entry: the 64-byte descriptor
@@ -508,9 +510,9 @@ impl CheckpointStore {
             // Find the committed checkpoint: trust the namespace's
             // CHECK_ADDR, fall back to a slot scan if the record is torn
             // or its payload fails validation. The committed checkpoint's
-            // slot stays leased — and if it is a delta, so does every
-            // slot on its chain down to the full root: recycling any of
-            // them would make the committed state unrecoverable.
+            // slot stays leased — and if it is linked, so does every slot
+            // on its chain down to the root: its references name bytes in
+            // them.
             let committed = Self::find_committed_range(
                 device.as_ref(),
                 &layout,
@@ -1025,9 +1027,12 @@ impl CheckpointStore {
 
     /// Writes `payload` into the leased slot as an all-`Raw` frame —
     /// records at their logical offsets, the table after them — without
-    /// persisting it. Returns the bytes written from the start of the
-    /// payload area, the range to persist before committing with
-    /// `payload_len = payload.len()`.
+    /// persisting it. Records are as fine as half the slot's table allows,
+    /// so a later [`write_delta_frame`](Self::write_delta_frame) can
+    /// reference the untouched ones and still split the touched ones.
+    /// Returns the bytes written from the start of the payload area, the
+    /// range to persist before committing with `payload_len =
+    /// payload.len()`.
     ///
     /// # Errors
     ///
@@ -1039,9 +1044,71 @@ impl CheckpointStore {
     ) -> Result<u64, PccheckError> {
         let len = payload.len() as u64;
         self.write_payload(lease, 0, payload)?;
-        let mut raw = codec::RawFrame::new(len, codec::WHOLE_RECORD, self.frame_capacity());
+        let mut raw = codec::RawFrame::new(len, 1, self.frame_capacity() / 2);
         raw.feed(payload);
         Ok(len + self.write_frame_table(lease, len, &raw.finish(lease.counter))?)
+    }
+
+    /// Writes `state` into the leased slot as a delta frame over the
+    /// committed checkpoint `base`, whose state differs from `state` only
+    /// inside the sorted, non-overlapping `dirty` ranges: the base's
+    /// untouched records become references and the touched ones are split
+    /// at the range boundaries and stored `Raw`, packed from the start of
+    /// the payload area ([`codec::plan_delta`]), then the table after them.
+    /// Does not persist. Returns the packed length (the commit's
+    /// `payload_len`), the bytes written from the start of the payload
+    /// area (the range to persist), and the link to commit with (`None`
+    /// when every record was touched).
+    ///
+    /// # Errors
+    ///
+    /// [`PccheckError::InvalidConfig`] when `base` holds no frame of
+    /// `state`'s length or the planned records overflow the slot's table;
+    /// propagates device errors.
+    pub fn write_delta_frame(
+        &self,
+        lease: &SlotLease,
+        base: &CheckMeta,
+        state: &[u8],
+        dirty: &[(u64, u64)],
+    ) -> Result<(u64, u64, Option<DeltaLink>), PccheckError> {
+        let len = state.len() as u64;
+        let pieces = self
+            .read_frame(base)
+            .filter(|frame| frame.logical_len == len)
+            .map(|frame| {
+                codec::plan_delta(&frame, base.slot, base.counter, dirty, codec::WHOLE_RECORD)
+            })
+            .filter(|pieces| pieces.len() <= self.frame_capacity())
+            .ok_or_else(|| {
+                PccheckError::InvalidConfig(format!(
+                    "no delta frame of {len} bytes over checkpoint {}",
+                    base.counter
+                ))
+            })?;
+        let (mut records, mut off, mut packed) = (Vec::new(), 0u64, 0u64);
+        for piece in pieces {
+            let record = match piece {
+                codec::DeltaRecord::Forward(record) => record,
+                codec::DeltaRecord::Copy(n) => {
+                    let bytes = &state[off as usize..(off + n) as usize];
+                    self.write_payload(lease, packed, bytes)?;
+                    packed += n;
+                    let digest = codec::content_address(bytes);
+                    FrameRecord::stored(codec::ChunkEncoding::Raw, packed - n, n, n, digest)
+                }
+            };
+            off += record.logical_len;
+            records.push(record);
+        }
+        let table = FrameTable {
+            counter: lease.counter,
+            logical_len: len,
+            records,
+        };
+        let table_len = self.write_frame_table(lease, packed, &table)?;
+        let link = table.references_base().then(|| DeltaLink::onto(base));
+        Ok((packed, packed + table_len, link))
     }
 
     /// Persists a payload range of the leased slot (msync/fence granularity
@@ -1077,13 +1144,13 @@ impl CheckpointStore {
         self.commit_with_delta(lease, iteration, payload_len, digest, None)
     }
 
-    /// Commits a checkpoint whose payload is a *delta* over the checkpoint
-    /// named by `delta` (extent table + packed dirty bytes; see the
-    /// pipeline's `copy_delta`). Identical to [`commit`](Self::commit)
-    /// except that, on success, every slot on the base chain stays pinned
-    /// out of the free queue — the committed state is only recoverable
-    /// through the whole chain. Pinned slots are released the next time a
-    /// full checkpoint (or a delta on a different chain) commits.
+    /// Commits a checkpoint whose frame references records of the
+    /// checkpoint named by `delta` or of its chain (a delta frame, or a
+    /// codec frame deduplicated against its base). Identical to
+    /// [`commit`](Self::commit) except that, on success, every slot on the
+    /// base chain stays pinned out of the free queue — the references name
+    /// bytes in those slots. Pinned slots are released the next time a
+    /// root checkpoint (or one on a different chain) commits.
     ///
     /// Delta commits assume the serial checkpoint discipline: the base must
     /// be the latest committed checkpoint, with no concurrent commit racing
@@ -1600,27 +1667,6 @@ impl RawStoreView {
             .find(|ns| ns.desc.slot_range().contains(&slot))
             .map(|ns| ns.desc.job)
     }
-
-    /// Reads a slot's durable payload bytes, sized by its meta record.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device read errors; errors if the slot has no valid meta.
-    pub fn read_slot_payload(
-        &self,
-        device: &dyn PersistentDevice,
-        slot: u32,
-    ) -> Result<Vec<u8>, PccheckError> {
-        let meta = self
-            .slot_meta
-            .get(slot as usize)
-            .copied()
-            .flatten()
-            .ok_or(PccheckError::CorruptCheckpoint { counter: 0 })?;
-        let mut payload = vec![0u8; meta.payload_len as usize];
-        device.read_durable_at(self.slot_payload_offset(slot), &mut payload)?;
-        Ok(payload)
-    }
 }
 
 #[cfg(test)]
@@ -1896,34 +1942,26 @@ mod tests {
         assert_eq!(view.flight_records, 16);
         assert_eq!(view.namespaces[0].check_addr, Some(committed));
         assert_eq!(view.expected_recovery(), Some(committed));
-        assert_eq!(
-            view.read_slot_payload(dev.as_ref(), committed.slot)
-                .unwrap(),
-            b"abc"
-        );
         let room = codec::table_room(st.frame_capacity());
         assert_eq!(view.flight_base(), st.slot_meta_offset(2) + 64 + 64 + room);
     }
 
-    fn delta_checkpoint(st: &CheckpointStore, iter: u64, payload: &[u8]) -> CommitOutcome {
+    /// Commits `payload` as a delta frame over the latest commit, whose
+    /// bytes differ from it only inside `dirty`.
+    fn delta_checkpoint(
+        st: &CheckpointStore,
+        iter: u64,
+        payload: &[u8],
+        dirty: &[(u64, u64)],
+    ) -> CommitOutcome {
         let base = st.latest_committed().expect("delta needs a committed base");
-        let depth = base.delta.map_or(0, |l| l.chain_depth);
         let lease = st.begin_checkpoint(None).unwrap();
-        st.write_payload(&lease, 0, payload).unwrap();
-        st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
+        let (packed, written, link) = st.write_delta_frame(&lease, &base, payload, dirty).unwrap();
+        assert!(link.is_some(), "untouched records reference the base");
+        st.persist_payload(&lease, 0, written).unwrap();
         let digest = crate::meta::checksum(payload);
-        st.commit_with_delta(
-            lease,
-            iter,
-            payload.len() as u64,
-            digest,
-            Some(DeltaLink {
-                base_counter: base.counter,
-                base_slot: base.slot,
-                chain_depth: depth + 1,
-            }),
-        )
-        .unwrap()
+        st.commit_with_delta(lease, iter, packed, digest, link)
+            .unwrap()
     }
 
     #[test]
@@ -1931,10 +1969,12 @@ mod tests {
         let st = store(64, 4);
         full_checkpoint(&st, 1, b"base");
         assert_eq!(st.free_slot_count(), 3);
-        assert_eq!(delta_checkpoint(&st, 2, b"d1"), CommitOutcome::Committed);
+        let d1 = delta_checkpoint(&st, 2, b"bAse", &[(1, 1)]);
+        assert_eq!(d1, CommitOutcome::Committed);
         // Base + delta both pinned.
         assert_eq!(st.free_slot_count(), 2);
-        assert_eq!(delta_checkpoint(&st, 3, b"d2"), CommitOutcome::Committed);
+        let d2 = delta_checkpoint(&st, 3, b"bABe", &[(2, 1)]);
+        assert_eq!(d2, CommitOutcome::Committed);
         assert_eq!(st.free_slot_count(), 1);
         let head = st.latest_committed().unwrap();
         assert_eq!(head.iteration, 3);
@@ -1975,8 +2015,8 @@ mod tests {
             let st =
                 CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 4, 0).unwrap();
             full_checkpoint(&st, 1, b"base");
-            delta_checkpoint(&st, 2, b"d1");
-            delta_checkpoint(&st, 3, b"d2");
+            delta_checkpoint(&st, 2, b"bAse", &[(1, 1)]);
+            delta_checkpoint(&st, 3, b"bABe", &[(2, 1)]);
         }
         dev.crash_now();
         dev.recover();
@@ -2288,9 +2328,14 @@ mod tests {
         full_checkpoint(&st, 1, b"one");
         let dev = Arc::clone(st.device());
         drop(st);
-        // The earlier layouts' magics: "PCcheCk1" (no namespaces) and
-        // "PCcheCk2" (per-slot digest region, unframed slots).
-        for old in [0x5043_6368_6543_6B31u64, 0x5043_6368_6543_6B32] {
+        // The earlier layouts' magics: "PCcheCk1" (no namespaces),
+        // "PCcheCk2" (per-slot digest region, unframed slots) and
+        // "PCcheCk3" (slots that may hold extent-table deltas).
+        for old in [
+            0x5043_6368_6543_6B31u64,
+            0x5043_6368_6543_6B32,
+            0x5043_6368_6543_6B33,
+        ] {
             dev.write_at(0, &old.to_le_bytes()).unwrap();
             dev.persist(0, 8).unwrap();
             assert!(matches!(

@@ -28,9 +28,6 @@ pub enum DeviceError {
     },
     /// The network peer is unreachable (remote node failed).
     PeerUnavailable,
-    /// A delta slot's extent table failed validation (bad magic, an
-    /// impossible extent count, or a checksum mismatch from a torn write).
-    CorruptExtentTable,
     /// A read failed at the media level (an unreadable sector / injected
     /// read fault). Unlike [`Crashed`](Self::Crashed) the device stays up;
     /// only the faulted range is unreadable.
@@ -57,9 +54,6 @@ impl fmt::Display for DeviceError {
                 "requested buffer of {requested} bytes exceeds pool chunk size {chunk}"
             ),
             DeviceError::PeerUnavailable => write!(f, "network peer is unavailable"),
-            DeviceError::CorruptExtentTable => {
-                write!(f, "delta checkpoint extent table failed validation")
-            }
             DeviceError::ReadFault { offset } => {
                 write!(f, "media read fault at offset {offset}")
             }
@@ -90,9 +84,6 @@ mod tests {
         }
         .to_string()
         .contains("chunk"));
-        assert!(DeviceError::CorruptExtentTable
-            .to_string()
-            .contains("extent table"));
         assert!(DeviceError::ReadFault { offset: 77 }
             .to_string()
             .contains("77"));

@@ -46,7 +46,6 @@ pub mod composite;
 pub mod device;
 pub mod dram;
 pub mod error;
-pub mod extent;
 pub mod file;
 pub mod network;
 pub mod observer;
@@ -60,13 +59,16 @@ pub use device::{
 };
 pub use dram::{HostBuffer, HostBufferPool};
 pub use error::DeviceError;
-pub use extent::{chunk_digest, fnv1a, fnv1a_fold, ExtentRecord, ExtentTable, FNV_SEED};
 pub use file::FileDevice;
 pub use network::{NetworkConfig, NetworkLink, RemoteMemory};
 pub use observer::{IoObserver, MemberIoOp};
 pub use pmem::{PmemDevice, PmemWriteMode};
 pub use region::{CrashPolicy, MemRegion};
 pub use ssd::SsdDevice;
+
+// The canonical digests live in `pccheck_util::fnv`; re-exported so the
+// `pccheck_device::{FNV_SEED, fnv1a, ...}` import paths keep working.
+pub use pccheck_util::fnv::{chunk_digest, fnv1a, fnv1a_fold, FNV_SEED};
 
 /// Convenience alias for fallible device operations.
 pub type Result<T> = std::result::Result<T, DeviceError>;

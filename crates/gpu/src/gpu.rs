@@ -216,7 +216,8 @@ impl Gpu {
     /// The guard takes the dirty set with it: delta checkpointing assumes
     /// one snapshot at a time reaches a commit (the engine's serial
     /// checkpoint discipline). A concurrent second guard sees an empty
-    /// set; per-extent digests at recovery catch any misuse.
+    /// set; the full-state digest that recovery checks a delta frame
+    /// against catches any misuse.
     pub fn lock_weights_shared(&self) -> WeightsGuard {
         self.share(true)
     }

@@ -4,9 +4,11 @@
 //! [`PersistPipeline::checkpoint_delta`] path: each run drives a real
 //! [`Gpu`] whose [`Gpu::update_sparse`] mutates only a fraction of every
 //! tensor, so the pipeline's dirty-extent tracking decides per checkpoint
-//! whether to persist a delta (extent table + packed dirty bytes) or fall
-//! back to a full streamed copy (dirty ratio above policy, chain at its
-//! cap, or no committed base). The row reports the persisted payload bytes
+//! whether to persist a delta frame (the records the dirty extents touch,
+//! split at the extent boundaries, plus references to every other record)
+//! or fall back to a full streamed copy (dirty ratio above policy, chain
+//! at its cap, no committed base, or a plan too large for the slot's
+//! table). The row reports the persisted bytes, frame tables included,
 //! against what the full path would have written — the persist-bytes
 //! reduction `BENCH_pr4.json` asserts at 10% sparsity.
 

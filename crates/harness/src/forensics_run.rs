@@ -13,8 +13,8 @@
 //! * between payload persist and commit (payload durable, never published),
 //! * after commit (the checkpoint is the recovery target),
 //! * mid delta chain (a delta checkpoint committed on the baseline, a
-//!   second delta stranded before its meta record — recovery must replay
-//!   the committed chain).
+//!   second delta stranded before its meta record — recovery must resolve
+//!   the committed delta's references into the baseline).
 //!
 //! Each scenario drives the [`CheckpointStore`] directly, emitting the
 //! same flight records the engine does, crashes, audits the frozen
@@ -28,10 +28,7 @@ use pccheck::{
     recover_instrumented_with, CheckpointStore, DeltaLink, JobId, PccheckError,
     RecoveredCheckpoint, RecoveryTrace, RestoreOptions, OWNER_JOB,
 };
-use pccheck_device::{
-    fnv1a, DeviceConfig, ExtentRecord, ExtentTable, PersistentDevice, SsdDevice, StripedDevice,
-    TieredDevice,
-};
+use pccheck_device::{DeviceConfig, PersistentDevice, SsdDevice, StripedDevice, TieredDevice};
 use pccheck_gpu::StateDigest;
 use pccheck_monitor::ForensicReport;
 use pccheck_telemetry::{FlightEventKind, Telemetry};
@@ -59,7 +56,8 @@ pub enum CrashPoint {
     AfterCommit,
     /// Mid delta chain: one delta committed on the baseline, a second
     /// delta's payload durable but its meta record never written —
-    /// recovery must replay the committed base + delta.
+    /// recovery must restore the committed delta from its own records
+    /// and the base's.
     DeltaChain,
 }
 
@@ -202,35 +200,11 @@ pub fn sparse_payload(base: &[u8], iteration: u64, ranges: &[(u64, u64)]) -> Vec
     full
 }
 
-/// Serializes a delta payload for `full`: an extent table (with per-extent
-/// FNV digests and `full`'s state digest) followed by the packed dirty
-/// bytes. Returns `(payload, table length)`.
-fn build_delta_payload(full: &[u8], iteration: u64, ranges: &[(u64, u64)]) -> (Vec<u8>, u64) {
-    let extents: Vec<ExtentRecord> = ranges
-        .iter()
-        .map(|&(off, len)| ExtentRecord {
-            offset: off,
-            len,
-            digest: fnv1a(&full[off as usize..(off + len) as usize]),
-        })
-        .collect();
-    let table = ExtentTable {
-        full_len: full.len() as u64,
-        full_digest: StateDigest::of_payload(full, iteration).0,
-        extents,
-    };
-    let mut payload = table.encode();
-    let table_len = payload.len() as u64;
-    for &(off, len) in ranges {
-        payload.extend_from_slice(&full[off as usize..(off + len) as usize]);
-    }
-    (payload, table_len)
-}
-
-/// Commits a delta checkpoint of `full` over the latest committed base,
-/// persisting only `ranges` behind an extent table and chaining via a
-/// [`DeltaLink`]. Emits the engine's flight records. Returns the
-/// checkpoint's counter.
+/// Commits a delta checkpoint of `full` over the latest committed base: a
+/// delta frame whose touched records (the ones `ranges` overlap) are
+/// materialized and whose other records reference the base chain, linked
+/// to the base ([`CheckpointStore::write_delta_frame`]). Emits the
+/// engine's flight records. Returns the checkpoint's counter.
 ///
 /// # Errors
 ///
@@ -258,29 +232,31 @@ pub fn commit_delta_checkpoint_scoped(
     full: &[u8],
     ranges: &[(u64, u64)],
 ) -> Result<u64, PccheckError> {
+    let lease = store.begin_checkpoint(Some(job))?;
+    let counter = lease.counter;
+    let packed = write_delta(store, &lease, job, iteration, full, ranges)?;
+    let digest = StateDigest::of_payload(full, iteration).0;
+    store.commit_with_delta(lease, iteration, packed.0, digest, packed.1)?;
+    Ok(counter)
+}
+
+/// Writes and persists `full` into `lease`'s slot as a delta frame over
+/// `job`'s latest commit, recording the engine's copy and persist
+/// milestones. Returns the packed length and the link to commit with.
+fn write_delta(
+    store: &CheckpointStore,
+    lease: &pccheck::store::SlotLease,
+    job: JobId,
+    iteration: u64,
+    full: &[u8],
+    ranges: &[(u64, u64)],
+) -> Result<(u64, Option<DeltaLink>), PccheckError> {
     let base = store
         .latest_committed_job(job)?
         .ok_or(PccheckError::NoCheckpoint)?;
-    let depth = base.delta.map_or(0, |l| l.chain_depth);
-    let (payload, table_len) = build_delta_payload(full, iteration, ranges);
-    let lease = store.begin_checkpoint(Some(job))?;
-    let counter = lease.counter;
-    let len = payload.len() as u64;
-    store.write_payload(&lease, 0, &payload)?;
-    persist_staged(store, &lease, iteration, len, len)?;
-    let digest = fnv1a(&payload[..table_len as usize]);
-    store.commit_with_delta(
-        lease,
-        iteration,
-        len,
-        digest,
-        Some(DeltaLink {
-            base_counter: base.counter,
-            base_slot: base.slot,
-            chain_depth: depth + 1,
-        }),
-    )?;
-    Ok(counter)
+    let (packed, written, link) = store.write_delta_frame(lease, &base, full, ranges)?;
+    persist_staged(store, lease, iteration, full.len() as u64, written)?;
+    Ok((packed, link))
 }
 
 /// Commits one checkpoint through the store, emitting the same flight
@@ -401,12 +377,9 @@ pub fn drive_to_crash_point_scoped(
 
         let ranges2 = [(len / 4, len / 8)];
         let full_crash = sparse_payload(&full_mid, iteration, &ranges2);
-        let (delta_payload, _) = build_delta_payload(&full_crash, iteration, &ranges2);
         let lease = store.begin_checkpoint(Some(job))?;
         let (counter, slot) = (lease.counter, lease.slot);
-        let dlen = delta_payload.len() as u64;
-        store.write_payload(&lease, 0, &delta_payload)?;
-        persist_staged(store, &lease, iteration, dlen, dlen)?;
+        write_delta(store, &lease, job, iteration, &full_crash, &ranges2)?;
         std::mem::forget(lease);
         return Ok((counter, slot));
     }
@@ -644,13 +617,16 @@ mod tests {
     }
 
     #[test]
-    fn crash_mid_delta_chain_recovers_by_replaying_the_chain() {
+    fn crash_mid_delta_chain_recovers_the_committed_delta() {
         let run = scenario(CrashPoint::DeltaChain);
         assert!(run.report.is_clean(), "{}", run.report.render());
         assert_eq!(run.crashed_counter, 3, "the stranded second delta");
         assert_eq!(run.recovered.counter, 2, "the committed delta survives");
         assert_eq!(run.recovered.iteration, 150);
-        assert_eq!(run.trace.chain_links, 1, "one delta replayed on the base");
+        assert_eq!(
+            run.trace.chain_links, 1,
+            "the delta read the base's records"
+        );
         // The reconstructed state is the sparse mutation of the baseline.
         let base = synthetic_payload(100, 4 * 1024);
         let expected = sparse_payload(&base, 150, &[(0, 512), (2048, 512)]);
@@ -658,7 +634,7 @@ mod tests {
         assert_eq!(
             run.report.expected_recovery.map(|m| m.counter),
             Some(run.recovered.counter),
-            "forensic prediction matches chain replay"
+            "forensic prediction matches recovery"
         );
         assert!(run.report.expected_recovery.is_some_and(|m| m.is_delta()));
     }

@@ -30,18 +30,16 @@
 //!    (`CHECK_ADDR` persists *before* the ring's `Commit` record, so the
 //!    ring can never be ahead of the durable pointer).
 //! 5. **Committed slots are intact** — every slot holding a complete
-//!    checkpoint holds either a frame that resolves exactly the way
-//!    recovery resolves it (the shared `pccheck::codec` resolver: LZ
-//!    records decompressed, self/base dedup references followed, every
-//!    record's content address and the end-to-end state digest checked),
-//!    or an extent delta whose table at the head of the payload matches
-//!    the recorded digest.
-//! 6. **Delta chains are whole** — for an extent-delta recovery target,
-//!    every base pointer must land on a slot still holding that base
-//!    (superseded bases stay pinned until their dependents retire), every
-//!    base must have committed per the ring, and replaying the chain over
-//!    its frame root must reconstruct a state matching the newest table's
-//!    full digest.
+//!    checkpoint holds a frame that resolves exactly the way recovery
+//!    resolves it (the shared `pccheck::codec` resolver: LZ records
+//!    decompressed, self references and references into earlier
+//!    checkpoints followed, every record's content address and the
+//!    end-to-end state digest checked).
+//! 6. **Delta chains are whole** — for every recovery target whose commit
+//!    carries a `DeltaLink`, every link on its chain must land on a slot
+//!    still holding that base (superseded bases stay pinned until their
+//!    dependents retire), and every base must have committed per the
+//!    ring.
 //!
 //! A report that violates any invariant means either real corruption or a
 //! bug in the checkpointing protocol — `pccheckctl forensics` exits
@@ -53,7 +51,7 @@ use std::sync::Arc;
 
 use pccheck::codec::payload_digest_matches;
 use pccheck::{CheckMeta, FrameTable, PccheckError, RawStoreView, SlotOutcome};
-use pccheck_device::{ExtentTable, PersistentDevice};
+use pccheck_device::PersistentDevice;
 use pccheck_telemetry::{FlightEventKind, FlightRecord, FlightRing};
 
 /// How far an in-flight (never terminated) checkpoint got before the
@@ -146,9 +144,9 @@ pub enum InvariantViolation {
         /// Newest committed counter per the ring.
         newest: u64,
     },
-    /// The expected recovery target's payload fails digest verification
-    /// (for a delta target: replaying its chain cannot reconstruct a state
-    /// matching the recorded full digest).
+    /// The expected recovery target's frame does not resolve: a record
+    /// fails its content address, a reference names no committed record,
+    /// or the reconstructed state fails the commit's digest.
     TornCommittedSlot {
         /// Slot of the torn checkpoint.
         slot: u32,
@@ -559,24 +557,16 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
     }
 
     // Invariant 5 + payload_valid: every slot holds a frame that resolves
-    // the way recovery resolves it, or an extent delta whose digest covers
-    // the extent table at the payload head. Every namespace's recovery
-    // head is a target — one tenant's torn head is a violation even when
-    // another tenant holds the globally newest commit.
+    // the way recovery resolves it. Every namespace's recovery head is a
+    // target — one tenant's torn head is a violation even when another
+    // tenant holds the globally newest commit.
     let recovery_targets: Vec<CheckMeta> =
         namespace_recovery.iter().filter_map(|(_, m)| *m).collect();
     for slot in 0..view.slots {
         let Some(meta) = view.slot_meta[slot as usize] else {
             continue;
         };
-        let valid = if view.read_frame(device.as_ref(), &meta).is_some() {
-            resolve_frame(device.as_ref(), &view, &meta).is_some()
-        } else if meta.is_delta() {
-            let payload = view.read_slot_payload(device.as_ref(), slot)?;
-            ExtentTable::decode_bound(&payload, meta.digest).is_some()
-        } else {
-            false
-        };
+        let valid = resolve_frame(device.as_ref(), &view, &meta).is_some();
         if let Some(CheckpointVerdict::Committed { payload_valid, .. }) =
             checkpoints.get_mut(&meta.counter)
         {
@@ -637,19 +627,10 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
         }
     }
 
-    // Invariant 6: an extent-delta target's chain must be whole, built on
-    // committed bases, and replayable to the recorded full-state digest
-    // (a frame target already resolved under invariant 5).
+    // Invariant 6: a linked target's chain must be whole and built on
+    // committed bases (its records resolved under invariant 5).
     for target in &recovery_targets {
-        if target.is_delta() && view.read_frame(device.as_ref(), target).is_none() {
-            audit_delta_chain(
-                device.as_ref(),
-                &view,
-                target,
-                &checkpoints,
-                &mut violations,
-            )?;
-        }
+        audit_delta_chain(&view, target, &checkpoints, &mut violations);
     }
 
     Ok(ForensicReport {
@@ -717,41 +698,33 @@ fn resolve_frame(
     payload_digest_matches(&out, meta.iteration, meta.digest).then_some(out)
 }
 
-/// Walks and replays the recovery target's delta chain, pushing a
-/// violation for each broken promise: a dangling base pointer
-/// ([`InvariantViolation::DeltaChainGap`]), a base the ring says never
-/// committed ([`InvariantViolation::DeltaBaseNotCommitted`]), or a replay
-/// that cannot reproduce the recorded full-state digest
-/// ([`InvariantViolation::TornCommittedSlot`]).
+/// Walks the recovery target's `DeltaLink` chain, pushing a violation for
+/// each broken promise: a dangling base pointer
+/// ([`InvariantViolation::DeltaChainGap`]) or a base the ring says never
+/// committed ([`InvariantViolation::DeltaBaseNotCommitted`]).
 fn audit_delta_chain(
-    device: &dyn PersistentDevice,
     view: &RawStoreView,
     target: &CheckMeta,
     checkpoints: &BTreeMap<u64, CheckpointVerdict>,
     violations: &mut Vec<InvariantViolation>,
-) -> Result<(), PccheckError> {
-    let mut chain = vec![*target];
-    loop {
-        let head = *chain.last().expect("chain starts non-empty");
-        // A frame is self-contained — it roots the chain even when its
-        // commit carries a link (the link only pins its dedup base).
-        if view.read_frame(device, &head).is_some() {
-            break;
-        }
-        let Some(link) = head.delta else { break };
+) {
+    let mut head = *target;
+    // Each link names a slot; a chain longer than the store is a cycle.
+    for _ in 0..view.slots {
+        let Some(link) = head.delta else { return };
         let base = view
             .slot_meta
             .get(link.base_slot as usize)
             .copied()
             .flatten()
-            .filter(|m| m.counter == link.base_counter && m.slot == link.base_slot);
+            .filter(|m| m.counter == link.base_counter);
         let Some(base) = base else {
             violations.push(InvariantViolation::DeltaChainGap {
                 counter: head.counter,
                 base_counter: link.base_counter,
                 base_slot: link.base_slot,
             });
-            return Ok(());
+            return;
         };
         if matches!(
             checkpoints.get(&base.counter),
@@ -762,40 +735,8 @@ fn audit_delta_chain(
                 base_counter: base.counter,
             });
         }
-        if chain.len() as u32 > view.slots {
-            break; // cycle guard: longer than the store can hold
-        }
-        chain.push(base);
+        head = base;
     }
-    if replay_chain(device, view, &chain).is_none() {
-        violations.push(InvariantViolation::TornCommittedSlot {
-            slot: target.slot,
-            counter: target.counter,
-        });
-    }
-    Ok(())
-}
-
-/// Replays a delta chain (newest→root order in `chain`) into the full
-/// state it represents, verifying every digest along the way. The root
-/// must be a frame. `None` on any mismatch.
-fn replay_chain(
-    device: &dyn PersistentDevice,
-    view: &RawStoreView,
-    chain: &[CheckMeta],
-) -> Option<Vec<u8>> {
-    let root = chain.last()?;
-    let mut state = resolve_frame(device, view, root)?;
-    let mut full_digest = root.digest;
-    let mut final_iter = root.iteration;
-    for delta in chain.iter().rev().skip(1) {
-        let payload = view.read_slot_payload(device, delta.slot).ok()?;
-        let table = ExtentTable::decode_bound(&payload, delta.digest)?;
-        table.apply(&payload, &mut state)?;
-        full_digest = table.full_digest;
-        final_iter = delta.iteration;
-    }
-    payload_digest_matches(&state, final_iter, full_digest).then_some(state)
 }
 
 #[cfg(test)]
@@ -829,49 +770,17 @@ mod tests {
         );
     }
 
-    /// Commits a delta checkpoint of `full` over the latest committed
-    /// base, persisting only `ranges` behind an extent table.
+    /// Commits a delta frame of `full` over the latest committed base,
+    /// materializing only the records `ranges` touch.
     fn commit_delta_one(st: &CheckpointStore, iter: u64, full: &[u8], ranges: &[(u64, u64)]) {
-        use pccheck::DeltaLink;
-        use pccheck_device::ExtentRecord;
-
         let base = st.latest_committed().unwrap();
-        let depth = base.delta.map_or(0, |l| l.chain_depth);
-        let extents: Vec<ExtentRecord> = ranges
-            .iter()
-            .map(|&(off, len)| ExtentRecord {
-                offset: off,
-                len,
-                digest: fnv1a(&full[off as usize..(off + len) as usize]),
-            })
-            .collect();
-        let table = ExtentTable {
-            full_len: full.len() as u64,
-            full_digest: fnv1a(full),
-            extents,
-        };
-        let table_bytes = table.encode();
-        let mut payload = table_bytes.clone();
-        for &(off, len) in ranges {
-            payload.extend_from_slice(&full[off as usize..(off + len) as usize]);
-        }
         let lease = st.begin_checkpoint(None).unwrap();
-        st.write_payload(&lease, 0, &payload).unwrap();
-        st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
-        let link = DeltaLink {
-            base_counter: base.counter,
-            base_slot: base.slot,
-            chain_depth: depth + 1,
-        };
+        let (packed, written, link) = st.write_delta_frame(&lease, &base, full, ranges).unwrap();
+        st.persist_payload(&lease, 0, written).unwrap();
+        assert!(link.is_some(), "untouched records reference the base");
         assert_eq!(
-            st.commit_with_delta(
-                lease,
-                iter,
-                payload.len() as u64,
-                fnv1a(&table_bytes),
-                Some(link),
-            )
-            .unwrap(),
+            st.commit_with_delta(lease, iter, packed, fnv1a(full), link)
+                .unwrap(),
             CommitOutcome::Committed
         );
     }
@@ -881,8 +790,12 @@ mod tests {
         let (dev, st) = flight_store(3, 16);
         commit_one(&st, 1, b"one");
         drop(st);
-        // The earlier layouts' magics, "PCcheCk1" and "PCcheCk2".
-        for old in [0x5043_6368_6543_6B31u64, 0x5043_6368_6543_6B32] {
+        // The earlier layouts' magics, "PCcheCk1" to "PCcheCk3".
+        for old in [
+            0x5043_6368_6543_6B31u64,
+            0x5043_6368_6543_6B32,
+            0x5043_6368_6543_6B33,
+        ] {
             dev.write_at(0, &old.to_le_bytes()).unwrap();
             dev.persist(0, 8).unwrap();
             assert!(matches!(
@@ -935,33 +848,22 @@ mod tests {
     #[test]
     fn delta_chain_gap_is_flagged() {
         let (dev, st) = flight_store(4, 64);
-        let full = vec![9u8; 64];
+        let mut full = vec![9u8; 64];
         commit_one(&st, 1, &full);
         let base = st.latest_committed().unwrap();
-        // Fabricate a delta whose base pointer dangles: right counter,
-        // wrong slot.
+        // A delta frame whose link dangles: right counter, wrong slot.
+        full[0..4].copy_from_slice(&[5u8; 4]);
         let lease = st.begin_checkpoint(None).unwrap();
-        let table = ExtentTable {
-            full_len: 64,
-            full_digest: fnv1a(&full),
-            extents: vec![],
+        let (packed, written, link) = st
+            .write_delta_frame(&lease, &base, &full, &[(0, 4)])
+            .unwrap();
+        st.persist_payload(&lease, 0, written).unwrap();
+        let link = pccheck::DeltaLink {
+            base_slot: (base.slot + 1) % 4,
+            ..link.unwrap()
         };
-        let bytes = table.encode();
-        st.write_payload(&lease, 0, &bytes).unwrap();
-        st.persist_payload(&lease, 0, bytes.len() as u64).unwrap();
-        let wrong_slot = (base.slot + 1) % 4;
-        st.commit_with_delta(
-            lease,
-            2,
-            bytes.len() as u64,
-            fnv1a(&bytes),
-            Some(pccheck::DeltaLink {
-                base_counter: base.counter,
-                base_slot: wrong_slot,
-                chain_depth: 1,
-            }),
-        )
-        .unwrap();
+        st.commit_with_delta(lease, 2, packed, fnv1a(&full), Some(link))
+            .unwrap();
         dev.crash_now();
         let report = audit(Arc::clone(&dev)).unwrap();
         assert!(report.violations.iter().any(|v| matches!(
@@ -996,14 +898,66 @@ mod tests {
     }
 
     #[test]
-    fn torn_delta_chain_replay_is_flagged() {
+    fn codec_frame_linked_to_an_in_flight_base_is_flagged() {
+        use pccheck::{DeltaPolicy, PersistPipeline, PipelineCtx};
+        use pccheck_device::HostBufferPool;
+        use pccheck_gpu::{HostSnapshot, SnapshotSource};
+        use pccheck_telemetry::{SpanId, Telemetry};
+
+        let (dev, st) = flight_store(4, 64);
+        let pipeline = PersistPipeline::new(Arc::new(st))
+            .with_writers(1)
+            .with_staging(HostBufferPool::new(ByteSize::from_bytes(16), 4))
+            .with_codec(true);
+        let telemetry = Telemetry::disabled();
+        let ctx = PipelineCtx {
+            telemetry: &telemetry,
+            span: SpanId::NONE,
+        };
+        let mut data = vec![0u8; 64];
+        pccheck_util::rng::fill_deterministic(&mut data, 5);
+        for step in 1..=2 {
+            let src = HostSnapshot {
+                data: data.clone(),
+                step,
+            };
+            let digest = src.digest().0;
+            pipeline
+                .checkpoint_framed(ctx, &src, step, digest, DeltaPolicy::default())
+                .unwrap();
+        }
+        let head = pipeline.store().latest_committed().unwrap();
+        let link = head
+            .delta
+            .expect("the repeat deduplicated against its base");
+        // Fabricate a ring that reopens the base's window: per the ring,
+        // the codec frame depends on a checkpoint still in flight.
+        pipeline
+            .store()
+            .flight()
+            .record(K::Begin, link.base_counter, link.base_slot, 1, 64, 0);
+        dev.crash_now();
+        let report = audit(Arc::clone(&dev)).unwrap();
+        assert!(
+            report.violations.iter().any(|v| matches!(
+                v,
+                InvariantViolation::DeltaBaseNotCommitted { counter, base_counter }
+                    if *counter == head.counter && *base_counter == link.base_counter
+            )),
+            "{:?}",
+            report.violations
+        );
+    }
+
+    #[test]
+    fn torn_delta_frame_record_is_flagged() {
         let (dev, st) = flight_store(4, 64);
         let mut full = vec![11u8; 64];
         commit_one(&st, 1, &full);
         full[16..24].copy_from_slice(&[13u8; 8]);
         commit_delta_one(&st, 2, &full, &[(16, 8)]);
-        // Corrupt a packed extent byte (the table stays intact, so the
-        // per-slot digest check passes and only chain replay catches it).
+        // Corrupt the last packed byte (a record the delta materialized;
+        // its table stays intact, so only resolution catches it).
         let target = st.latest_committed().unwrap();
         let off = st.slot_payload_offset(target.slot) + target.payload_len - 1;
         dev.write_at(off, &[0xEE]).unwrap();

@@ -52,12 +52,9 @@ pub enum Phase {
     RecoveryLoad,
     /// Recovery: digest verification of a candidate payload.
     RecoveryVerify,
-    /// Delta checkpoint: building and persisting the dirty-extent table
-    /// that maps a sparse payload back onto the full state.
+    /// Delta checkpoint: planning the delta frame's records from the base
+    /// frame and the dirty extents.
     DeltaMap,
-    /// Recovery: replaying a delta chain (base payload + per-extent
-    /// patches) into a full state image.
-    DeltaReplay,
     /// Parallel restore: one reader's device→DRAM chunk fetch leg.
     RestoreRead,
     /// Parallel restore: per-record content-address verification,
@@ -69,8 +66,9 @@ pub enum Phase {
 
 impl Phase {
     /// All phases, in lifecycle order (checkpoint phases first, then the
-    /// post-crash recovery-path phases, then the delta-checkpoint phases).
-    pub const ALL: [Phase; 12] = [
+    /// post-crash recovery-path phases, the delta plan, and the restore
+    /// pipeline's stages).
+    pub const ALL: [Phase; 11] = [
         Phase::TicketWait,
         Phase::GpuCopy,
         Phase::Persist,
@@ -79,7 +77,6 @@ impl Phase {
         Phase::RecoveryLoad,
         Phase::RecoveryVerify,
         Phase::DeltaMap,
-        Phase::DeltaReplay,
         Phase::RestoreRead,
         Phase::RestoreVerify,
         Phase::RestoreUpload,
@@ -96,7 +93,6 @@ impl Phase {
             Phase::RecoveryLoad => "recovery_load",
             Phase::RecoveryVerify => "recovery_verify",
             Phase::DeltaMap => "delta_map",
-            Phase::DeltaReplay => "delta_replay",
             Phase::RestoreRead => "restore_read",
             Phase::RestoreVerify => "restore_verify",
             Phase::RestoreUpload => "restore_upload",
@@ -114,10 +110,9 @@ impl Phase {
             Phase::RecoveryLoad => 5,
             Phase::RecoveryVerify => 6,
             Phase::DeltaMap => 7,
-            Phase::DeltaReplay => 8,
-            Phase::RestoreRead => 9,
-            Phase::RestoreVerify => 10,
-            Phase::RestoreUpload => 11,
+            Phase::RestoreRead => 8,
+            Phase::RestoreVerify => 9,
+            Phase::RestoreUpload => 10,
         }
     }
 }
@@ -293,7 +288,6 @@ mod tests {
                 "recovery_load",
                 "recovery_verify",
                 "delta_map",
-                "delta_replay",
                 "restore_read",
                 "restore_verify",
                 "restore_upload",

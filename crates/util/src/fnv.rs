@@ -3,7 +3,7 @@
 //! One seed, one prime, three disciplines:
 //!
 //! - [`fnv1a`] / [`fnv1a_fold`]: byte-serial FNV-1a. This is the
-//!   whole-payload checksum convention — checkpoint metadata CRCs, extent
+//!   whole-payload checksum convention — checkpoint metadata CRCs, frame
 //!   tables, and flight-record framing all fold with the same constants so
 //!   a digest computed on the persist path verifies on the recovery path.
 //! - [`chunk_digest`] / [`ChunkDigester`]: word-folding FNV-style mix,

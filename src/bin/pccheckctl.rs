@@ -246,7 +246,7 @@ fn cmd_recover(path: &str, readers: usize) -> Result<(), Box<dyn std::error::Err
         trace.fallbacks
     );
     println!(
-        "  load   {:>9.3} ms  ({} delta link(s) replayed)",
+        "  load   {:>9.3} ms  ({} earlier checkpoint(s) referenced)",
         ms(trace.load_nanos),
         trace.chain_links
     );

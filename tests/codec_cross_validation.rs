@@ -127,7 +127,7 @@ fn framed_store_recovers_bit_identical_to_raw_store() {
     assert_eq!(a.payload, *states.last().expect("nonempty"));
 }
 
-/// A delta committed on top of a chunk-framed root must replay to the
+/// A delta committed on top of a chunk-framed root must restore to the
 /// same bytes as a raw store that committed the full states directly.
 #[test]
 fn delta_over_framed_root_matches_raw_replay() {
@@ -178,7 +178,7 @@ fn delta_over_framed_root_matches_raw_replay() {
     assert_eq!(a.iteration, b.iteration);
     assert_eq!(
         a.payload, b.payload,
-        "delta replay over a framed root must match the raw arm byte for byte"
+        "a delta over a framed root must match the raw arm byte for byte"
     );
     assert_eq!(a.payload, full_mid);
 }

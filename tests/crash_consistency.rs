@@ -258,7 +258,7 @@ fn forensic_verdicts_match_actual_recovery_at_every_crash_point() {
             CrashPoint::DeltaChain => {
                 // The stranded second delta died with its payload durable
                 // but no meta, and recovery must land on the committed
-                // *delta* head — replayed through its chain.
+                // *delta* head, resolved through its chain.
                 assert!(
                     matches!(
                         verdict,

@@ -94,7 +94,7 @@ fn delta_chain_restore_is_bit_identical_to_full_checkpoints() {
     assert_eq!(rec_b.iteration, 4);
     assert_eq!(
         rec_a.payload, rec_b.payload,
-        "delta-chain replay must reproduce the full checkpoint byte for byte"
+        "the delta chain must reproduce the full checkpoint byte for byte"
     );
 
     // The forensic differ over the tensor layout agrees: zero changed bytes

@@ -1,7 +1,7 @@
 //! Cross-validation of the parallel restore pipeline: recovering the same
 //! device with four readers and with one reader must produce bit-identical
 //! checkpoints — for plain full checkpoints (per-record reads) and for
-//! base + delta chains (parallel layer fetch + extent replay).
+//! base + delta chains (delta frames resolving into earlier checkpoints).
 
 use std::sync::Arc;
 
@@ -140,7 +140,7 @@ fn parallel_and_sequential_recovery_agree_on_delta_chains() {
     assert_eq!(par.counter, seq.counter);
     assert_eq!(
         par.payload, seq.payload,
-        "parallel delta replay must reproduce the sequential bytes"
+        "parallel delta restore must reproduce the sequential bytes"
     );
 
     // Both land on a GPU identical to the live weights.
